@@ -12,6 +12,8 @@
 #include "common/rng.hpp"
 #include "core/decider.hpp"
 #include "core/pool.hpp"
+#include "core/protocol.hpp"
+#include "core/txn_window.hpp"
 #include "net/codec.hpp"
 #include "net/network.hpp"
 #include "net/serial_server.hpp"
@@ -160,6 +162,25 @@ void BM_RaplAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RaplAdvance);
+
+// Steady-state receive window: full at capacity 1024, every insert is a
+// first sighting that evicts the oldest id — the pool-side shape, where
+// each request, push and transfer from 256 senders passes the window.
+void BM_TxnWindowInsert(benchmark::State& state) {
+  core::TxnWindow window(core::TxnWindow::kDefaultCapacity);
+  std::uint64_t seq = 0;
+  auto next_txn = [&seq] {
+    ++seq;
+    return core::make_txn_id(static_cast<std::int32_t>(seq % 256), 0,
+                             seq / 256);
+  };
+  for (std::size_t i = 0; i < window.capacity(); ++i) window.insert(next_txn());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(window.insert(next_txn()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TxnWindowInsert);
 
 void BM_NetworkRoundTrip(benchmark::State& state) {
   sim::Simulator sim;

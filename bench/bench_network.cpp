@@ -12,7 +12,8 @@
 //   bench_network                 throughput numbers (items_per_second)
 //   bench_network --min-time=S    longer measurement window
 //   bench_network --alloc-check   assert zero heap allocations on the
-//                                 warm message path (ctest: net.zero_alloc)
+//                                 warm message path and in a full receive
+//                                 TxnWindow (ctest: net.zero_alloc)
 //   bench_network --jobs=N        run the same worlds through the sharded
 //                                 engine's staged-send path (N shards);
 //                                 with --alloc-check this is the sharded
@@ -20,10 +21,12 @@
 //
 // The allocation check counts allocator round trips via the shared
 // counting operator new/delete hooks (bench/counting_new.hpp, also the
-// backbone of telemetry.ZeroOverheadGate): after a warm-up phase (slab,
-// free lists, and event heap reach their high-water marks), tens of
+// backbone of telemetry.ZeroOverheadGate): after a warm-up phase (free
+// lists and event heap reach their high-water marks), tens of
 // thousands of further send→deliver rounds must not touch the
-// allocator at all.
+// allocator at all. The same holds for the receive-side dedup window
+// every pool runs each request, push and transfer through: once it is
+// full, inserts that evict the oldest id allocate nothing.
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -35,6 +38,7 @@
 
 #include "counting_new.hpp"
 #include "core/protocol.hpp"
+#include "core/txn_window.hpp"
 #include "net/network.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -94,7 +98,7 @@ struct FanoutWorld {
 /// staged-flush barrier path (node 0 on shard 0, node 1 on the last
 /// shard), so a round exercises staging, the canonical sort, and the
 /// window machinery — the path that must also be allocation-free once
-/// staging buffers, slabs, and heaps reach their high-water marks.
+/// staging buffers and event heaps reach their high-water marks.
 struct ShardedRoundTripWorld {
   static int jobs;  // set from --jobs before construction
 
@@ -201,6 +205,34 @@ int alloc_check(const char* name, int warm_rounds, int measured_rounds) {
   return delta == 0 ? 0 : 1;
 }
 
+/// Fill a default-capacity TxnWindow, then insert `inserts` fresh ids
+/// (each evicting the oldest) plus a duplicate of the newest after each.
+int txn_window_alloc_check(int inserts) {
+  core::TxnWindow window;
+  std::uint64_t seq = 0;
+  auto next_txn = [&seq] {
+    ++seq;
+    return core::make_txn_id(static_cast<std::int32_t>(seq % 256), 0,
+                             seq / 256);
+  };
+  for (std::size_t i = 0; i < window.capacity(); ++i) window.insert(next_txn());
+  std::uint64_t before = pen_alloc_gate::allocs_now();
+  std::uint64_t refused = 0;
+  for (int i = 0; i < inserts; ++i) {
+    const std::uint64_t txn = next_txn();
+    window.insert(txn);
+    refused += window.insert(txn) ? 0 : 1;
+  }
+  std::uint64_t delta = pen_alloc_gate::allocs_now() - before;
+  const bool pass = delta == 0 &&
+                    refused == static_cast<std::uint64_t>(inserts) &&
+                    window.size() == window.capacity();
+  std::printf("%-10s %" PRIu64
+              " heap allocations across %d inserts with eviction: %s\n",
+              "txnwindow", delta, inserts, pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,6 +268,7 @@ int main(int argc, char** argv) {
     } else {
       failures += alloc_check<RoundTripWorld>("roundtrip", 2000, 20000);
       failures += alloc_check<FanoutWorld>("fanout64", 200, 2000);
+      failures += txn_window_alloc_check(100000);
     }
     return failures == 0 ? 0 : 1;
   }

@@ -92,12 +92,22 @@ FederatedArena::FederatedArena(
   pool_deficit_flow_.assign(pools, 0);
   pool_pending_flow_.assign(pools, 0);
 
-  // Endpoints for every node; the decider itself runs from the epoch
-  // sweeps below, not from per-node timers.
-  for (int i = 0; i < config_.n_nodes; ++i) {
-    net_.register_endpoint(i, [this, i](const net::Message& msg) {
-      handle_node_message(i, msg);
-    });
+  // One endpoint handler for the whole pool range and one for the node
+  // range (each reads msg.dst); the decider itself runs from the epoch
+  // sweeps below, not from per-node timers. Pools hold the highest ids,
+  // so registering them first sizes the endpoint table once.
+  if (topo_.total_pools > 0) {
+    net_.register_endpoint_range(
+        base_, pool_node_id(topo_.total_pools),
+        [this](const net::Message& msg) {
+          handle_pool_message(static_cast<int>(msg.dst - base_), msg);
+        });
+  }
+  if (config_.n_nodes > 0) {
+    net_.register_endpoint_range(0, config_.n_nodes,
+                                 [this](const net::Message& msg) {
+                                   handle_node_message(msg.dst, msg);
+                                 });
   }
 
   // Slices: shard_of is contiguous monotone, so each engine owns exactly
@@ -133,9 +143,6 @@ FederatedArena::FederatedArena(
   }
   for (int p = 0; p < topo_.total_pools; ++p) {
     net::NodeId pid = pool_node_id(p);
-    net_.register_endpoint(pid, [this, p](const net::Message& msg) {
-      handle_pool_message(p, msg);
-    });
     sim_of_(pid).schedule_periodic(
         config_.federation.period, config_.federation.period,
         [this, p](common::Ticks now) { pool_tick(p, now); });

@@ -8,8 +8,8 @@
 // send (std::any's alternatives are all larger than its inline buffer)
 // and an RTTI-based dispatch per as<T>(). The variant stores every
 // alternative inline (32 bytes including the discriminant), is
-// trivially copyable — so a whole Message moves by memcpy through the
-// event queue and the in-flight slab — and as<T>() compiles down to an
+// trivially copyable — so a whole Message moves by memcpy inside the
+// delivery event that carries it — and as<T>() compiles down to an
 // index compare. See DESIGN.md §11.
 #pragma once
 
@@ -64,6 +64,7 @@ struct Message {
 };
 
 static_assert(std::is_trivially_copyable_v<Message>,
-              "Message must stay trivially copyable (slab + event moves)");
+              "Message must stay trivially copyable (it rides inside "
+              "delivery events, which move by memcpy)");
 
 }  // namespace penelope::net

@@ -125,16 +125,52 @@ Network::SourceState& Network::source_state(NodeId src) {
   return sources_[idx];
 }
 
-void Network::register_endpoint(NodeId node, Handler handler) {
-  PEN_CHECK(node != kNoNode && node >= 0);
+std::uint32_t Network::acquire_handler(Handler handler,
+                                       std::uint32_t nodes) {
   PEN_CHECK(handler != nullptr);
-  ensure_slot(endpoints_, node, Handler{});
-  endpoints_[static_cast<std::size_t>(node)] = std::move(handler);
+  std::uint32_t entry;
+  if (free_handlers_.empty()) {
+    entry = static_cast<std::uint32_t>(handlers_.size());
+    handlers_.emplace_back();
+  } else {
+    entry = free_handlers_.back();
+    free_handlers_.pop_back();
+  }
+  handlers_[entry] = HandlerSlot{std::move(handler), nodes};
+  return entry;
+}
+
+void Network::release_handler(std::uint32_t entry) {
+  if (entry == 0) return;
+  HandlerSlot& slot = handlers_[entry];
+  if (--slot.refs == 0) {
+    slot.fn = nullptr;
+    free_handlers_.push_back(entry);
+  }
+}
+
+void Network::register_endpoint(NodeId node, Handler handler) {
+  register_endpoint_range(node, node + 1, std::move(handler));
+}
+
+void Network::register_endpoint_range(NodeId first, NodeId last,
+                                      Handler handler) {
+  PEN_CHECK(first >= 0 && first < last);
+  ensure_slot(endpoint_of_, last - 1, std::uint32_t{0});
+  const std::uint32_t entry = acquire_handler(
+      std::move(handler), static_cast<std::uint32_t>(last - first));
+  for (auto n = static_cast<std::size_t>(first);
+       n < static_cast<std::size_t>(last); ++n) {
+    release_handler(endpoint_of_[n]);
+    endpoint_of_[n] = entry;
+  }
 }
 
 void Network::remove_endpoint(NodeId node) {
-  if (node >= 0 && static_cast<std::size_t>(node) < endpoints_.size())
-    endpoints_[static_cast<std::size_t>(node)] = nullptr;
+  if (node < 0 || static_cast<std::size_t>(node) >= endpoint_of_.size())
+    return;
+  release_handler(endpoint_of_[static_cast<std::size_t>(node)]);
+  endpoint_of_[static_cast<std::size_t>(node)] = 0;
 }
 
 common::Ticks Network::sample_latency(NodeId src) {
@@ -253,6 +289,21 @@ common::Ticks Network::sample_copy_delay(SourceState& source,
   return delay;
 }
 
+void Network::schedule_delivery(sim::Simulator& engine, common::Ticks at,
+                                const Message& msg) {
+  // The event owns the in-flight copy: firing it hands the handler a
+  // reference into the fired event, which stays put while the handler
+  // schedules more events. Serial sends, the sharded flush and pause
+  // replay all schedule this one closure, so one static_assert pins the
+  // zero-allocation delivery path for every mode. The closure holds no
+  // context index: a delivery fires on the engine of the context that
+  // owns it, so deliver() reads the context from the running engine.
+  auto delivery = [this, msg] { deliver(msg); };
+  static_assert(sim::EventFn::kFitsInline<decltype(delivery)>,
+                "a delivery event must carry its Message inline");
+  engine.schedule_at(at, std::move(delivery));
+}
+
 void Network::schedule_copy(ContextState& cx, const Message& msg,
                             common::Ticks delay, bool tracked) {
   if (engine_ != nullptr) {
@@ -266,18 +317,7 @@ void Network::schedule_copy(ContextState& cx, const Message& msg,
       cx.staged_high_water = cx.staged.size();
     return;
   }
-  std::uint32_t slot;
-  if (cx.free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(cx.slab.size());
-    cx.slab.push_back(msg);
-  } else {
-    slot = cx.free_slots.back();
-    cx.free_slots.pop_back();
-    cx.slab[slot] = msg;
-  }
-  // {this, slot} is 12 bytes — well inside EventFn's inline buffer, so
-  // scheduling a delivery allocates nothing once the slab is warm.
-  sim_->schedule_after(delay, [this, slot] { deliver(0, slot); });
+  schedule_delivery(*sim_, sim_->now() + delay, msg);
 }
 
 void Network::flush_staged() {
@@ -305,33 +345,16 @@ void Network::flush_staged() {
       shard = shard_of_[static_cast<std::size_t>(staged.msg.dst)];
     std::size_t ctxi = shard >= 0 ? static_cast<std::size_t>(shard)
                                   : contexts_.size() - 1;
-    ContextState& cx = contexts_[ctxi];
-    std::uint32_t slot;
-    if (cx.free_slots.empty()) {
-      slot = static_cast<std::uint32_t>(cx.slab.size());
-      cx.slab.push_back(staged.msg);
-    } else {
-      slot = cx.free_slots.back();
-      cx.free_slots.pop_back();
-      cx.slab[slot] = staged.msg;
-    }
-    if (staged.tracked != 0) ++cx.copies[staged.msg.id].outstanding;
+    if (staged.tracked != 0)
+      ++contexts_[ctxi].copies[staged.msg.id].outstanding;
     sim::Simulator& dst_sim =
         shard >= 0 ? engine_->shard(shard) : engine_->control();
-    dst_sim.schedule_at(
-        staged.at,
-        [this, ctx = static_cast<std::uint32_t>(ctxi), slot] {
-          deliver(ctx, slot);
-        });
+    schedule_delivery(dst_sim, staged.at, staged.msg);
   }
 }
 
-void Network::deliver(std::size_t ctxi, std::uint32_t slot) {
-  ContextState& cx = contexts_[ctxi];
-  // Copy out of the slab before anything else: the handler may send
-  // reentrantly, which can grow the slab and invalidate references.
-  const Message msg = cx.slab[slot];
-  cx.free_slots.push_back(slot);
+void Network::deliver(const Message& msg) {
+  ContextState& cx = context();
 
   // A paused destination queues the frame in its NIC: no drop, no copy
   // resolution — the tracking entry stays live until the replayed
@@ -369,10 +392,10 @@ void Network::deliver(std::size_t ctxi, std::uint32_t slot) {
     resolve_drop(cx.stats.dropped_dead_node, DropReason::kDeadNode);
     return;
   }
-  const Handler* handler = nullptr;
-  if (msg.dst >= 0 && static_cast<std::size_t>(msg.dst) < endpoints_.size())
-    handler = &endpoints_[static_cast<std::size_t>(msg.dst)];
-  if (handler == nullptr || !*handler) {
+  std::uint32_t entry = 0;
+  if (msg.dst >= 0 && static_cast<std::size_t>(msg.dst) < endpoint_of_.size())
+    entry = endpoint_of_[static_cast<std::size_t>(msg.dst)];
+  if (entry == 0) {
     resolve_drop(cx.stats.dropped_no_endpoint, DropReason::kNoEndpoint);
     return;
   }
@@ -399,7 +422,7 @@ void Network::deliver(std::size_t ctxi, std::uint32_t slot) {
     if (last_copy) cx.copies.erase(copy_it);
   }
   ++cx.stats.delivered;
-  (*handler)(msg);
+  handlers_[entry].fn(msg);
 }
 
 const NetworkStats& Network::stats() const {
@@ -407,12 +430,6 @@ const NetworkStats& Network::stats() const {
   merged_stats_ = NetworkStats{};
   for (const auto& cx : contexts_) accumulate(merged_stats_, cx.stats);
   return merged_stats_;
-}
-
-std::size_t Network::slab_capacity() const {
-  std::size_t total = 0;
-  for (const auto& cx : contexts_) total += cx.slab.size();
-  return total;
 }
 
 std::size_t Network::staging_capacity() const {
@@ -573,29 +590,16 @@ void Network::redeliver(const StagedSend& staged, common::Ticks at) {
           ? 0
           : (shard >= 0 ? static_cast<std::size_t>(shard)
                         : contexts_.size() - 1);
-  ContextState& cx = contexts_[ctxi];
-  std::uint32_t slot;
-  if (cx.free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(cx.slab.size());
-    cx.slab.push_back(staged.msg);
-  } else {
-    slot = cx.free_slots.back();
-    cx.free_slots.pop_back();
-    cx.slab[slot] = staged.msg;
-  }
   // Serial sends create their duplicate-tracking entry at send time;
   // sharded sends create it at flush — a held outbox frame skipped that
   // flush, so the increment happens here instead.
   if (engine_ != nullptr && staged.tracked != 0)
-    ++cx.copies[staged.msg.id].outstanding;
+    ++contexts_[ctxi].copies[staged.msg.id].outstanding;
   sim::Simulator& dst_sim =
       engine_ == nullptr
           ? *sim_
           : (shard >= 0 ? engine_->shard(shard) : engine_->control());
-  dst_sim.schedule_at(at,
-                      [this, ctx = static_cast<std::uint32_t>(ctxi), slot] {
-                        deliver(ctx, slot);
-                      });
+  schedule_delivery(dst_sim, at, staged.msg);
 }
 
 void Network::set_fault_rates(const FaultRates& rates) {

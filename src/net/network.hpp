@@ -6,10 +6,11 @@
 //   * node failures (the Figure 3 server-kill experiment),
 //   * network partitions (mentioned as a centralized failure mode in §1).
 //
-// Delivery is a scheduled simulator event that invokes the destination's
-// registered handler; the network never reorders equal-latency messages
-// (the event queue is FIFO at equal timestamps), and all jitter comes
-// from a seeded Rng so runs are reproducible.
+// Delivery is a scheduled simulator event that carries the message and
+// invokes the destination's registered handler; the network never
+// reorders equal-latency messages (the event queue is FIFO at equal
+// timestamps), and all jitter comes from a seeded Rng so runs are
+// reproducible.
 //
 // Randomness is per source node: each sender owns an independent Rng
 // stream (loss/duplicate/reorder/latency draws) and message-id counter,
@@ -28,9 +29,13 @@
 // The send→deliver path performs zero heap allocations in steady state
 // (DESIGN.md §11): payloads are a trivially-copyable variant stored
 // inline in the Message, node tables are dense vectors indexed by
-// NodeId, in-flight messages live in a free-listed slab, and the
-// delivery closure ({this, slot}) fits sim::EventFn's inline buffer.
-// After warm-up (slab/heap high-water marks reached), sending and
+// NodeId, and each in-flight copy lives inside its own delivery event —
+// the closure {this, Message} fits sim::EventFn's inline buffer
+// (static_asserted in network.cpp), so delivering reads the message
+// from the event being fired rather than from a side table.
+// Endpoints are a per-node u32 index into a small handler table, so one
+// handler registered over a NodeId range serves a whole population.
+// After warm-up (event-heap high-water mark reached), sending and
 // delivering touch the allocator not at all — pinned by the
 // net.zero_alloc ctest case (bench_network --alloc-check).
 //
@@ -42,7 +47,7 @@
 // node, the canonical order is independent of the shard layout; because
 // every sampled latency is >= the latency floor (== the engine's
 // lookahead), every staged arrival lands at or after the window boundary
-// that flushes it. Stats, slab, free list, and duplicate tracking are
+// that flushes it. Stats, staging buffers and duplicate tracking are
 // per execution context, so windows touch no shared mutable state.
 #pragma once
 
@@ -169,9 +174,20 @@ class Network {
   /// Register (or replace) the delivery handler for `node`.
   void register_endpoint(NodeId node, Handler handler);
 
+  /// Register (or replace) one handler for every node in [first, last).
+  /// The handler tells the nodes apart by `msg.dst`. A later per-node
+  /// register_endpoint/remove_endpoint inside the range overrides only
+  /// that node.
+  void register_endpoint_range(NodeId first, NodeId last, Handler handler);
+
   /// Remove an endpoint entirely (distinct from failing it: messages to a
   /// removed endpoint count as dropped_no_endpoint).
   void remove_endpoint(NodeId node);
+
+  /// Handler-table slots in use or free for reuse (the empty "no
+  /// endpoint" entry included). Replaced handlers are recycled, so this
+  /// stays bounded by the number of distinct live registrations.
+  std::size_t handler_table_size() const { return handlers_.size(); }
 
   /// Send a payload; returns the assigned message id, or 0 if the message
   /// was dropped at send time (dead source). Drops at delivery time (dead
@@ -265,13 +281,7 @@ class Network {
   /// from `src`'s stream.
   common::Ticks sample_latency(NodeId src = 0);
 
-  /// Slab high-water mark (slots ever allocated for in-flight copies,
-  /// summed across contexts), exposed so the zero-allocation check can
-  /// confirm warm-up converged.
-  std::size_t slab_capacity() const;
-
-  /// Staged-send high-water mark across contexts (0 in serial mode);
-  /// the zero-alloc gate checks it converges the same way the slab does.
+  /// Staged-send high-water mark across contexts (0 in serial mode).
   std::size_t staging_capacity() const;
 
  private:
@@ -302,8 +312,6 @@ class Network {
   /// the same row inside a window; barriers merge on demand.
   struct ContextState {
     NetworkStats stats;
-    std::vector<Message> slab;
-    std::vector<std::uint32_t> free_slots;
     std::unordered_map<std::uint64_t, CopyState> copies;
     std::vector<StagedSend> staged;
     std::size_t staged_high_water = 0;
@@ -311,14 +319,24 @@ class Network {
 
   bool same_island(NodeId a, NodeId b) const;
   bool one_way_blocked(NodeId src, NodeId dst) const;
-  void deliver(std::size_t ctx, std::uint32_t slot);
+  /// Runs in the destination's execution context: the engine a delivery
+  /// is scheduled on determines the context it fires in.
+  void deliver(const Message& msg);
+  /// Schedule a delivery event on `engine` that carries `msg` by value.
+  void schedule_delivery(sim::Simulator& engine, common::Ticks at,
+                         const Message& msg);
   void schedule_copy(ContextState& ctx, const Message& msg,
                      common::Ticks delay, bool tracked);
   common::Ticks sample_copy_delay(SourceState& src, NetworkStats& stats);
   void flush_staged();
-  /// Slab-insert + schedule one replayed message (resume path); does for
-  /// a single message what flush_staged does for a staged batch.
+  /// Schedule one replayed message (resume path); does for a single
+  /// message what flush_staged does for a staged batch.
   void redeliver(const StagedSend& staged, common::Ticks at);
+  /// Take a handler-table slot for `handler`, referenced by `nodes`
+  /// endpoints; release_handler() drops one reference and recycles the
+  /// slot when none remain.
+  std::uint32_t acquire_handler(Handler handler, std::uint32_t nodes);
+  void release_handler(std::uint32_t entry);
   SourceState& source_state(NodeId src);
   std::size_t context_index() const;
   ContextState& context() { return contexts_[context_index()]; }
@@ -331,8 +349,18 @@ class Network {
   /// Dense NodeId-indexed tables: node ids are small and contiguous in
   /// every topology the cluster layer builds (clients 0..N-1, server N),
   /// so a vector probe replaces the seed's unordered_map hash+chase on
-  /// the per-delivery path. An empty Handler slot means "no endpoint".
-  std::vector<Handler> endpoints_;
+  /// the per-delivery path. endpoint_of_[node] indexes handlers_; entry
+  /// 0 is the permanently empty "no endpoint" slot. A 4-byte index per
+  /// node keeps the per-delivery load in a table a few times smaller than
+  /// one std::function per node would be, and the handler table itself
+  /// stays a handful of cache lines when ranges are registered.
+  struct HandlerSlot {
+    Handler fn;
+    std::uint32_t refs = 0;  ///< endpoints pointing here
+  };
+  std::vector<std::uint32_t> endpoint_of_;
+  std::vector<HandlerSlot> handlers_{1};
+  std::vector<std::uint32_t> free_handlers_;
   std::vector<std::uint8_t> failed_;
   std::vector<std::int32_t> island_of_;
   /// One-way block membership flags (asymmetric partition). A send is

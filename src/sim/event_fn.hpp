@@ -28,9 +28,21 @@ class EventFn {
  public:
   /// Callables at most this large (and at most max_align_t-aligned, and
   /// nothrow-move-constructible) are stored inline; larger ones fall
-  /// back to a single heap allocation. 48 bytes covers `this` + five
-  /// 8-byte captures, and a whole net::Message by value.
-  static constexpr std::size_t kInlineCapacity = 48;
+  /// back to a single heap allocation. 72 bytes is sized for the
+  /// fabric's delivery closure: the Network pointer plus a whole 64-byte
+  /// net::Message by value (network.cpp static_asserts the fit), so a
+  /// scheduled delivery carries its message and never allocates. With
+  /// the ops pointer an EventFn is then exactly 80 bytes, a multiple of
+  /// max_align_t; one more inline word would round it up to 96 and make
+  /// every event slot a fifth larger.
+  static constexpr std::size_t kInlineCapacity = 72;
+
+  /// True when a callable of type T is stored inline (no allocation).
+  template <typename T>
+  static constexpr bool kFitsInline =
+      sizeof(T) <= kInlineCapacity &&
+      alignof(T) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<T>;
 
   EventFn() noexcept = default;
   EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
@@ -114,12 +126,6 @@ class EventFn {
     }
     other.ops_ = nullptr;
   }
-
-  template <typename T>
-  static constexpr bool kFitsInline =
-      sizeof(T) <= kInlineCapacity &&
-      alignof(T) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<T>;
 
   template <typename T>
   static T* inline_ptr(void* storage) noexcept {

@@ -19,12 +19,13 @@
 // by (timestamp, sequence). cancel() is a true O(log n) delete — the
 // dominant Penelope pattern of scheduling a timeout and cancelling it
 // when the reply wins the race costs two heap operations and no garbage.
-// Callbacks are sim::EventFn (sim/event_fn.hpp): move-only with 48 bytes
+// Callbacks are sim::EventFn (sim/event_fn.hpp): move-only with 72 bytes
 // of inline storage, so scheduling a lambda that captures `this` and a
-// few scalars never touches the allocator, and events are moved (never
-// copied) out of the heap when they fire. Periodic timers are native:
-// the engine re-arms a fired periodic event by resetting its heap key in
-// place, reusing the same closure and EventId across firings.
+// few scalars (or a whole net::Message) never touches the allocator,
+// and events are moved (never copied) out of the heap when they fire.
+// Periodic timers are native: the engine re-arms a fired periodic event
+// by resetting its heap key in place, reusing the same closure and
+// EventId across firings.
 #pragma once
 
 #include <cstdint>

@@ -8,27 +8,18 @@
 namespace penelope::sim {
 
 void TimerHeap::reserve(std::size_t n) {
-  if (n > slots_.size()) {
-    pos_.resize(n);
-    slots_.resize(n);
-    fn_.resize(n);
-  }
+  pos_.reserve(n);
+  slots_.reserve(n);
+  fn_.reserve(n);
   heap_.reserve(n);
   free_.reserve(n);
   run_.reserve(n);
 }
 
-void TimerHeap::grow_slab() {
-  std::size_t cap = slots_.empty() ? 64 : slots_.size() * 2;
-  pos_.resize(cap);
-  slots_.resize(cap);
-  fn_.resize(cap);
-}
-
 std::uint32_t TimerHeap::node_of(EventId id) const {
   auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slab_size_) return kNpos;
+  if (slot >= slots_.size()) return kNpos;
   if (slots_[slot].gen != gen || pos_[slot] == kNpos) return kNpos;
   return slot;
 }

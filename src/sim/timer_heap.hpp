@@ -111,12 +111,11 @@ class TimerHeap {
       slots_[slot].period = period;
       fn_[slot] = std::move(fn);
     } else {
-      slot = slab_size_;
+      slot = static_cast<std::uint32_t>(slots_.size());
       PEN_CHECK_MSG(slot != kNpos, "timer slab full");
-      if (slot == slots_.size()) grow_slab();
-      slots_[slot] = Slot{period, 1};
-      fn_[slot] = std::move(fn);
-      ++slab_size_;
+      pos_.push_back(kNpos);
+      slots_.push_back(Slot{period, 1});
+      fn_.push_back(std::move(fn));
     }
     const Entry entry{at, seq, slot};
     std::size_t pos = heap_.size();
@@ -274,11 +273,6 @@ class TimerHeap {
     free_.push_back(slot);
   }
 
-  /// Double the slab arrays. The three arrays share one capacity
-  /// (`slots_.size()`) and one occupancy counter (`slab_size_`), so the
-  /// append path in insert() pays a single capacity branch.
-  void grow_slab();
-
   /// Sort the heap's one-shot entries into `run_`; periodic timers stay
   /// behind (re-heapified).
   void convert_to_run();
@@ -299,12 +293,13 @@ class TimerHeap {
     std::uint32_t gen;  ///< bumped on free; stale ids never match
   };
 
-  // Slab, structure-of-arrays; all three are indexed by slot, sized to
-  // the shared capacity, and occupied up to `slab_size_`.
+  // Slab, structure-of-arrays; all three are indexed by slot and grow
+  // together, one element per slot ever used. reserve() only reserves
+  // their capacity: a large reservation is not written (so not paged
+  // in) until events actually occupy it.
   std::vector<std::uint32_t> pos_;  ///< heap position; kNpos when free
   std::vector<Slot> slots_;
   std::vector<EventFn> fn_;
-  std::uint32_t slab_size_ = 0;
 
   std::vector<Entry> heap_;
   std::vector<std::uint32_t> free_;

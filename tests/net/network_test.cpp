@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -329,6 +330,81 @@ TEST(Network, RemoveEndpointStopsDelivery) {
   EXPECT_EQ(f.net->stats().dropped_no_endpoint, 1u);
 }
 
+TEST(Network, RangeEndpointReachesEveryNodeInTheRange) {
+  // One handler registered over [10, 20) serves all ten nodes; msg.dst
+  // tells it which node a message is for. Nodes outside the range have
+  // no endpoint.
+  Fixture f;
+  std::vector<std::pair<NodeId, int>> received;
+  f.net->register_endpoint_range(10, 20, [&](const Message& m) {
+    received.emplace_back(m.dst, probe_value(m));
+  });
+  for (NodeId n = 9; n <= 20; ++n) f.net->send(0, n, probe(100 + n));
+  f.sim.run();
+  std::sort(received.begin(), received.end());
+  ASSERT_EQ(received.size(), 10u);
+  for (NodeId n = 10; n < 20; ++n) {
+    EXPECT_EQ(received[static_cast<std::size_t>(n - 10)],
+              std::make_pair(n, 100 + n));
+  }
+  EXPECT_EQ(f.net->stats().dropped_no_endpoint, 2u);  // nodes 9 and 20
+}
+
+TEST(Network, PerNodeEndpointInsideRangeOverridesOnlyThatNode) {
+  Fixture f;
+  std::vector<NodeId> by_range;
+  std::vector<NodeId> by_node;
+  f.net->register_endpoint_range(0, 8, [&](const Message& m) {
+    by_range.push_back(m.dst);
+  });
+  f.net->register_endpoint(5, [&](const Message& m) {
+    by_node.push_back(m.dst);
+  });
+  for (NodeId n = 0; n < 8; ++n) f.net->send(9, n, probe(n));
+  f.sim.run();
+  std::sort(by_range.begin(), by_range.end());
+  EXPECT_EQ(by_range, (std::vector<NodeId>{0, 1, 2, 3, 4, 6, 7}));
+  EXPECT_EQ(by_node, (std::vector<NodeId>{5}));
+}
+
+TEST(Network, RemoveEndpointInsideRangeDropsAsNoEndpoint) {
+  Fixture f;
+  std::vector<NodeId> received;
+  f.net->register_endpoint_range(0, 4, [&](const Message& m) {
+    received.push_back(m.dst);
+  });
+  f.net->remove_endpoint(2);
+  DropReason reason = DropReason::kLoss;
+  int drops = 0;
+  f.net->set_drop_handler([&](const Message& m, DropReason r) {
+    EXPECT_EQ(m.dst, 2);
+    reason = r;
+    ++drops;
+  });
+  for (NodeId n = 0; n < 4; ++n) f.net->send(9, n, probe(n));
+  f.sim.run();
+  std::sort(received.begin(), received.end());
+  EXPECT_EQ(received, (std::vector<NodeId>{0, 1, 3}));
+  EXPECT_EQ(f.net->stats().dropped_no_endpoint, 1u);
+  EXPECT_EQ(drops, 1);
+  EXPECT_EQ(reason, DropReason::kNoEndpoint);
+}
+
+TEST(Network, ReregisteringOneNodeKeepsHandlerTableBounded) {
+  // Replaced handlers are recycled: 10^4 re-registrations of one node
+  // (and of one range) leave only a couple of handler-table slots.
+  Fixture f;
+  int last = -1;
+  for (int i = 0; i < 10000; ++i) {
+    f.net->register_endpoint(3, [&last, i](const Message&) { last = i; });
+    f.net->register_endpoint_range(100, 200, [](const Message&) {});
+  }
+  EXPECT_LE(f.net->handler_table_size(), 4u);
+  f.net->send(0, 3, probe(0));
+  f.sim.run();
+  EXPECT_EQ(last, 9999);  // the newest registration wins
+}
+
 TEST(Network, PayloadBytesSentTracksWireSize) {
   Fixture f;
   f.net->register_endpoint(1, [](const Message&) {});
@@ -450,16 +526,19 @@ TEST(Network, NoDropHandlerWhenOneCopyWasDelivered) {
 }
 
 TEST(Network, ReentrantSendFromHandlerIsSafe) {
-  // A handler that sends while a delivery is being dispatched may grow
-  // the in-flight slab; the fabric must tolerate that (it copies the
-  // message out of the slab before invoking handlers).
+  // A handler that sends while a delivery is being dispatched schedules
+  // new delivery events, which may grow the event heap's storage. The
+  // message the handler is reading lives in the fired event, which the
+  // engine has already moved out of the heap, so that growth cannot
+  // invalidate it.
   Fixture f;
   int pongs = 0;
   f.net->register_endpoint(0, [&](const Message&) { ++pongs; });
   f.net->register_endpoint(1, [&](const Message& m) {
-    // Fan out replies to force slab growth mid-delivery.
+    // Fan out replies to force event-heap growth mid-delivery.
+    const int value = probe_value(m);
     for (int i = 0; i < 8; ++i) f.net->send(1, 0, probe(i));
-    (void)m;
+    EXPECT_EQ(probe_value(m), value);  // still intact after the sends
   });
   for (int i = 0; i < 16; ++i) f.net->send(0, 1, probe(i));
   f.sim.run();

@@ -111,11 +111,16 @@ TEST(EventFn, NonTrivialCallableRelocatesAndDestroys) {
 }
 
 TEST(EventFn, SmallCapturesStayInline) {
+  // The boundary case: a capture of exactly kInlineCapacity bytes (the
+  // size of the fabric's {Network*, Message} delivery closure) is still
+  // stored inline.
   struct {
-    char bytes[EventFn::kInlineCapacity - 16];
+    char bytes[EventFn::kInlineCapacity];
   } capture{};
+  auto callable = [capture](Ticks) { (void)capture; };
+  static_assert(EventFn::kFitsInline<decltype(callable)>);
   const std::size_t before = allocs();
-  EventFn fn = [capture](Ticks) { (void)capture; };
+  EventFn fn = callable;
   EventFn moved = std::move(fn);
   moved(0);
   EXPECT_EQ(allocs(), before);
@@ -125,8 +130,10 @@ TEST(EventFn, OversizedCapturesFallBackToOneHeapAllocation) {
   struct {
     char bytes[EventFn::kInlineCapacity + 1];
   } capture{};
+  auto callable = [capture](Ticks) { (void)capture; };
+  static_assert(!EventFn::kFitsInline<decltype(callable)>);
   const std::size_t before = allocs();
-  EventFn fn = [capture](Ticks) { (void)capture; };
+  EventFn fn = callable;
   EXPECT_EQ(allocs(), before + 1);
   // Moving a heap-held callable moves the pointer: no further allocation.
   EventFn moved = std::move(fn);
