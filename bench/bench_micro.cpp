@@ -183,8 +183,10 @@ void BM_TxnWindowInsert(benchmark::State& state) {
 BENCHMARK(BM_TxnWindowInsert);
 
 void BM_NetworkRoundTrip(benchmark::State& state) {
-  sim::Simulator sim;
-  net::Network net(sim, net::NetworkConfig{});
+  // One shard: deliveries are scheduled directly on the one heap.
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
+  net::Network net(engine, net::NetworkConfig{});
   std::uint64_t delivered = 0;
   net.register_endpoint(1, [&](const net::Message& m) {
     ++delivered;

@@ -14,9 +14,10 @@
 //   bench_network --alloc-check   assert zero heap allocations on the
 //                                 warm message path and in a full receive
 //                                 TxnWindow (ctest: net.zero_alloc)
-//   bench_network --jobs=N        run the same worlds through the sharded
-//                                 engine's staged-send path (N shards);
-//                                 with --alloc-check this is the sharded
+//   bench_network --jobs=N        run the same worlds over N engine shards
+//                                 (default 1: direct scheduling); N >= 2
+//                                 takes the staged-send path, and with
+//                                 --alloc-check this is the sharded
 //                                 zero-alloc gate (ctest: net.zero_alloc_sharded)
 //
 // The allocation check counts allocator round trips via the shared
@@ -35,6 +36,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <vector>
 
 #include "counting_new.hpp"
 #include "core/protocol.hpp"
@@ -47,81 +49,36 @@ namespace {
 
 using namespace penelope;
 
+/// Engine shards every world runs over (--jobs). Nodes are laid out
+/// contiguously, so with two or more shards the traffic below crosses
+/// the staged-flush barrier path: staging, the canonical sort and the
+/// window machinery, which must also be allocation-free once staging
+/// buffers and event heaps reach their high-water marks.
+int g_jobs = 1;
+
+net::NetworkConfig world_config() {
+  net::NetworkConfig cfg;
+  cfg.latency.floor = common::from_millis(0.05);  // 50 us windows
+  return cfg;
+}
+
+std::vector<int> shard_map(int nodes) {
+  std::vector<int> map(static_cast<std::size_t>(nodes));
+  for (int i = 0; i < nodes; ++i)
+    map[static_cast<std::size_t>(i)] = i * g_jobs / nodes;
+  return map;
+}
+
 /// Ping-pong: node 0 sends a request, node 1 answers with a grant; one
 /// round = 2 sends + 2 deliveries through the full latency machinery.
 struct RoundTripWorld {
-  sim::Simulator sim;
-  net::Network net{sim, net::NetworkConfig{}};
-  std::uint64_t delivered = 0;
-
-  RoundTripWorld() {
-    net.register_endpoint(1, [this](const net::Message& m) {
-      ++delivered;
-      net.send(1, 0, core::PowerGrant{42.0, m.id, -1});
-    });
-    net.register_endpoint(0,
-                          [this](const net::Message&) { ++delivered; });
-  }
-
-  std::size_t round() {
-    net.send(0, 1, core::PowerRequest{false, 42.0, 1});
-    sim.run();
-    return 2;
-  }
-};
-
-/// Fan-out burst: one hub floods 64 peers in a single event-queue
-/// drain — the completion-burst traffic shape of the scale study.
-struct FanoutWorld {
-  static constexpr int kPeers = 64;
-  sim::Simulator sim;
-  net::Network net{sim, net::NetworkConfig{}};
-  std::uint64_t delivered = 0;
-  std::uint64_t txn = 0;
-
-  FanoutWorld() {
-    for (int i = 0; i < kPeers; ++i) {
-      net.register_endpoint(
-          i + 1, [this](const net::Message&) { ++delivered; });
-    }
-  }
-
-  std::size_t round() {
-    for (int i = 0; i < kPeers; ++i)
-      net.send(0, i + 1, core::PowerPush{1.0, ++txn});
-    sim.run();
-    return kPeers;
-  }
-};
-
-/// The ping-pong through the sharded engine: both sends cross the
-/// staged-flush barrier path (node 0 on shard 0, node 1 on the last
-/// shard), so a round exercises staging, the canonical sort, and the
-/// window machinery — the path that must also be allocation-free once
-/// staging buffers and event heaps reach their high-water marks.
-struct ShardedRoundTripWorld {
-  static int jobs;  // set from --jobs before construction
-
-  static net::NetworkConfig make_cfg() {
-    net::NetworkConfig cfg;
-    cfg.latency.floor = common::from_millis(0.05);  // 50 us windows
-    return cfg;
-  }
-
-  net::NetworkConfig cfg = make_cfg();
-  sim::ShardedSimulator engine{jobs, cfg.latency.effective_floor()};
+  net::NetworkConfig cfg = world_config();
+  sim::ShardedSimulator engine{g_jobs, cfg.latency.effective_floor()};
   net::Network net{engine, cfg, shard_map(2)};
   std::uint64_t delivered = 0;
   common::Ticks horizon = 0;
 
-  static std::vector<int> shard_map(int nodes) {
-    std::vector<int> map(static_cast<std::size_t>(nodes));
-    for (int i = 0; i < nodes; ++i) map[static_cast<std::size_t>(i)] =
-        i * jobs / nodes;
-    return map;
-  }
-
-  ShardedRoundTripWorld() {
+  RoundTripWorld() {
     net.register_endpoint(1, [this](const net::Message& m) {
       ++delivered;
       net.send(1, 0, core::PowerGrant{42.0, m.id, -1});
@@ -137,23 +94,21 @@ struct ShardedRoundTripWorld {
     return 2;
   }
 };
-int ShardedRoundTripWorld::jobs = 2;
 
-/// Fan-out through the sharded engine: the hub's burst is staged in one
-/// context, flushed once, and delivered by every shard in parallel
-/// windows.
-struct ShardedFanoutWorld {
+/// Fan-out burst: one hub floods 64 peers in a single event-queue
+/// drain — the completion-burst traffic shape of the scale study. With
+/// several shards the burst is staged in one context, flushed once, and
+/// delivered by every shard in parallel windows.
+struct FanoutWorld {
   static constexpr int kPeers = 64;
-  net::NetworkConfig cfg = ShardedRoundTripWorld::make_cfg();
-  sim::ShardedSimulator engine{ShardedRoundTripWorld::jobs,
-                               cfg.latency.effective_floor()};
-  net::Network net{engine, cfg,
-                   ShardedRoundTripWorld::shard_map(kPeers + 1)};
+  net::NetworkConfig cfg = world_config();
+  sim::ShardedSimulator engine{g_jobs, cfg.latency.effective_floor()};
+  net::Network net{engine, cfg, shard_map(kPeers + 1)};
   std::uint64_t delivered = 0;
   std::uint64_t txn = 0;
   common::Ticks horizon = 0;
 
-  ShardedFanoutWorld() {
+  FanoutWorld() {
     for (int i = 0; i < kPeers; ++i) {
       net.register_endpoint(
           i + 1, [this](const net::Message&) { ++delivered; });
@@ -237,7 +192,6 @@ int txn_window_alloc_check(int inserts) {
 
 int main(int argc, char** argv) {
   bool check = false;
-  int jobs = 0;
   double min_seconds = 0.5;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--alloc-check") == 0) {
@@ -245,7 +199,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--min-time=", 11) == 0) {
       min_seconds = std::atof(argv[i] + 11);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
+      g_jobs = std::atoi(argv[i] + 7);
     } else {
       std::fprintf(stderr,
                    "usage: bench_network [--alloc-check] [--jobs=N] "
@@ -253,36 +207,22 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (jobs < 0 || jobs == 1) {
-    std::fprintf(stderr, "--jobs wants N >= 2 shards\n");
+  if (g_jobs < 1) {
+    std::fprintf(stderr, "--jobs wants N >= 1 shards\n");
     return 2;
   }
-  if (jobs > 0) ShardedRoundTripWorld::jobs = jobs;
 
   if (check) {
     int failures = 0;
-    if (jobs > 0) {
-      failures +=
-          alloc_check<ShardedRoundTripWorld>("sh.roundtrip", 2000, 20000);
-      failures += alloc_check<ShardedFanoutWorld>("sh.fanout64", 200, 2000);
-    } else {
-      failures += alloc_check<RoundTripWorld>("roundtrip", 2000, 20000);
-      failures += alloc_check<FanoutWorld>("fanout64", 200, 2000);
-      failures += txn_window_alloc_check(100000);
-    }
+    failures += alloc_check<RoundTripWorld>("roundtrip", 2000, 20000);
+    failures += alloc_check<FanoutWorld>("fanout64", 200, 2000);
+    failures += txn_window_alloc_check(100000);
     return failures == 0 ? 0 : 1;
   }
 
-  if (jobs > 0) {
-    std::printf("BM_NetShardedRoundTrip  items_per_second=%.0f\n",
-                items_per_second<ShardedRoundTripWorld>(min_seconds));
-    std::printf("BM_NetShardedFanout64   items_per_second=%.0f\n",
-                items_per_second<ShardedFanoutWorld>(min_seconds));
-    return 0;
-  }
-  std::printf("BM_NetRoundTrip  items_per_second=%.0f\n",
+  std::printf("BM_NetRoundTrip/jobs:%d  items_per_second=%.0f\n", g_jobs,
               items_per_second<RoundTripWorld>(min_seconds));
-  std::printf("BM_NetFanout64   items_per_second=%.0f\n",
+  std::printf("BM_NetFanout64/jobs:%d   items_per_second=%.0f\n", g_jobs,
               items_per_second<FanoutWorld>(min_seconds));
   return 0;
 }

@@ -111,10 +111,10 @@ FederatedArena::FederatedArena(
   }
 
   // Slices: shard_of is contiguous monotone, so each engine owns exactly
-  // one run of NodeIds (the serial engine owns all of them). One
-  // periodic sweep-lane event per slice replaces the old N periodic
+  // one run of NodeIds (at sim_jobs=1 the one heap owns all of them).
+  // One periodic sweep-lane event per slice replaces the old N periodic
   // node timers; every slice sweeps at ticks 1, 1+period, 1+2*period, …
-  // so both engines fire the same epochs at the same virtual times.
+  // so every shard count fires the same epochs at the same virtual times.
   for (int i = 0; i < config_.n_nodes; ++i) {
     sim::Simulator* engine = &sim_of_(i);
     if (slices_.empty() || slices_.back().sim != engine) {

@@ -81,7 +81,7 @@ struct ArenaConfig {
 class FederatedArena {
  public:
   /// Resolves the simulator a NodeId's events run on (the cluster's
-  /// node_sim: per-shard when sharded, the serial engine otherwise).
+  /// node_sim: the heap of the node's shard, the one heap at sim_jobs=1).
   /// Must cover pool ids (>= n_nodes) too.
   using SimOf = std::function<sim::Simulator&(net::NodeId)>;
   using OnComplete = std::function<void(net::NodeId, common::Ticks)>;

@@ -64,46 +64,42 @@ Cluster::Cluster(ClusterConfig config,
         16,
         "sim_jobs=%d requested with the membership layer enabled; peer "
         "reclamation is cross-shard protocol feedback with no "
-        "conservative window, running serial instead",
+        "conservative window, clamping sim_jobs to 1",
         jobs);
     jobs = 1;
   }
   config_.sim_jobs = jobs;
 
+  // Contiguous balanced shard assignment (node i -> shard i*K/N); the
+  // server node (id N, central managers only) rides the last shard.
+  // The conservative window width is the network's latency floor: no
+  // message can cross shards faster than that.
   net::NetworkConfig net_config = config_.network;
   net_config.seed = config_.seed ^ 0x85ebca6bu;
-  if (jobs > 1) {
-    // Contiguous balanced shard assignment (node i -> shard i*K/N); the
-    // server node (id N, central managers only) rides the last shard.
-    // The conservative window width is the network's latency floor: no
-    // message can cross shards faster than that.
-    engine_ = std::make_unique<sim::ShardedSimulator>(
-        jobs, net_config.latency.effective_floor());
-    shard_of_.resize(static_cast<std::size_t>(config_.n_nodes) + 1);
-    for (int i = 0; i < config_.n_nodes; ++i)
-      shard_of_[static_cast<std::size_t>(i)] =
-          static_cast<int>(static_cast<std::int64_t>(i) * jobs /
-                           config_.n_nodes);
-    shard_of_[static_cast<std::size_t>(config_.n_nodes)] = jobs - 1;
-    if (fed_topo_) {
-      // Pool ids live above the client range (pool p -> id N + p, the
-      // server slot is unused under Penelope). Each pool rides the
-      // shard of the first node its subtree covers, so leaf traffic is
-      // mostly intra-shard.
-      shard_of_.resize(static_cast<std::size_t>(config_.n_nodes) +
-                       static_cast<std::size_t>(fed_topo_->total_pools));
-      for (int p = 0; p < fed_topo_->total_pools; ++p) {
-        shard_of_[static_cast<std::size_t>(config_.n_nodes + p)] =
-            shard_of_[static_cast<std::size_t>(
-                fed_topo_->representative_node[static_cast<std::size_t>(
-                    p)])];
-      }
+  engine_ = std::make_unique<sim::ShardedSimulator>(
+      jobs, net_config.latency.effective_floor());
+  shard_of_.resize(static_cast<std::size_t>(config_.n_nodes) + 1);
+  for (int i = 0; i < config_.n_nodes; ++i)
+    shard_of_[static_cast<std::size_t>(i)] =
+        static_cast<int>(static_cast<std::int64_t>(i) * jobs /
+                         config_.n_nodes);
+  shard_of_[static_cast<std::size_t>(config_.n_nodes)] = jobs - 1;
+  if (fed_topo_) {
+    // Pool ids live above the client range (pool p -> id N + p, the
+    // server slot is unused under Penelope). Each pool rides the
+    // shard of the first node its subtree covers, so leaf traffic is
+    // mostly intra-shard.
+    shard_of_.resize(static_cast<std::size_t>(config_.n_nodes) +
+                     static_cast<std::size_t>(fed_topo_->total_pools));
+    for (int p = 0; p < fed_topo_->total_pools; ++p) {
+      shard_of_[static_cast<std::size_t>(config_.n_nodes + p)] =
+          shard_of_[static_cast<std::size_t>(
+              fed_topo_->representative_node[static_cast<std::size_t>(
+                  p)])];
     }
-    net_ = std::make_unique<net::Network>(*engine_, net_config, shard_of_);
-    metrics_.configure_sharding(jobs, config_.n_nodes);
-  } else {
-    net_ = std::make_unique<net::Network>(sim_, net_config);
   }
+  net_ = std::make_unique<net::Network>(*engine_, net_config, shard_of_);
+  metrics_.configure_contexts(engine_->contexts(), config_.n_nodes);
 
   // Pre-size the event heaps before any actor arms its first timer. On
   // the classic path a node keeps roughly four events pending at once
@@ -118,16 +114,10 @@ Cluster::Cluster(ClusterConfig config,
   const std::size_t pending_per_node = fed_topo_ ? 2 : 4;
   const auto pool_slack =
       fed_topo_ ? 4 * static_cast<std::size_t>(fed_topo_->total_pools) : 0;
-  if (engine_) {
-    auto nodes_per_shard = static_cast<std::size_t>(
-        (config_.n_nodes + jobs - 1) / jobs + 1);
-    engine_->reserve(pending_per_node * nodes_per_shard + pool_slack + 64);
-    engine_->control().reserve(256);
-  } else {
-    sim_.reserve(pending_per_node *
-                     static_cast<std::size_t>(config_.n_nodes) +
-                 pool_slack + 64);
-  }
+  const auto nodes_per_shard =
+      static_cast<std::size_t>((config_.n_nodes + jobs - 1) / jobs);
+  engine_->reserve(pending_per_node * nodes_per_shard + pool_slack + 64,
+                   /*control=*/256);
 
   // Watts lost inside the fabric (dropped grant/donation messages) are
   // stranded: they left one cap and will never reach another. Drops
@@ -475,17 +465,13 @@ NodeConfig Cluster::make_node_config(int node) {
 void Cluster::build(std::vector<workload::WorkloadProfile> profiles) {
   const int n = config_.n_nodes;
 
-  // Completion bookkeeping mutates cluster-global state, so sharded runs
-  // route it through the barrier (deterministic order: posts drain in
-  // shard-index order, and the counting is commutative anyway).
+  // Completion bookkeeping mutates cluster-global state, so it goes
+  // through the barrier (deterministic order: posts drain in shard-index
+  // order, and the counting is commutative anyway); at sim_jobs=1 the
+  // post runs inline.
   std::function<void(net::NodeId, common::Ticks)> on_complete =
       [this](net::NodeId id, common::Ticks at) {
-        if (engine_) {
-          engine_->post_to_barrier(
-              [this, id, at] { on_node_complete(id, at); });
-        } else {
-          on_node_complete(id, at);
-        }
+        engine_->post_to_barrier([this, id, at] { on_node_complete(id, at); });
       };
 
   if (fed_topo_) {
@@ -777,42 +763,24 @@ void Cluster::on_node_complete(net::NodeId node, common::Ticks at) {
   PEN_CHECK_MSG(!slot.has_value(), "node completed twice");
   slot = at;
   last_completion_ = std::max(last_completion_, at);
-  if (++completed_nodes_ == config_.n_nodes) {
-    if (engine_) {
-      engine_->stop();  // already at a barrier: posts run there
-    } else {
-      sim_.stop();
-    }
-  }
+  if (++completed_nodes_ == config_.n_nodes) engine_->stop();
 }
 
 RunResult Cluster::run() {
   common::Ticks deadline = common::from_seconds(config_.max_seconds);
-  if (engine_) {
+  // run_until returns on stop() (all nodes complete) or at the deadline.
+  if (completed_nodes_ < config_.n_nodes && now_ticks() < deadline)
     engine_->run_until(deadline);
-  } else {
-    while (completed_nodes_ < config_.n_nodes && sim_.now() < deadline &&
-           sim_.pending_events() > 0) {
-      sim_.run_until(deadline);
-      // run_until returns on stop() (all nodes complete) or deadline.
-      if (sim_.stopped()) break;
-    }
-  }
   // The audit task samples the high-water mark periodically, but short
-  // runs (or audit_interval > runtime) would otherwise never record it
-  // on the serial path; close the books on both engines at run end.
+  // runs (or audit_interval > runtime) would otherwise never record it;
+  // close the books at run end.
   metrics_.note_pending_events_high_water(
       static_cast<double>(pending_high_water()));
   return collect_result();
 }
 
 void Cluster::run_for(double seconds) {
-  common::Ticks deadline = now_ticks() + common::from_seconds(seconds);
-  if (engine_) {
-    engine_->run_until(deadline);
-  } else {
-    sim_.run_until(deadline);
-  }
+  engine_->run_until(now_ticks() + common::from_seconds(seconds));
   metrics_.note_pending_events_high_water(
       static_cast<double>(pending_high_water()));
 }
@@ -861,11 +829,7 @@ void Cluster::watchdog_check(common::Ticks now) {
   wedged_ = true;
   PEN_CHECK_MSG(!config_.watchdog_abort,
                 "liveness watchdog: decider plane wedged (see dump above)");
-  if (engine_) {
-    engine_->stop();
-  } else {
-    sim_.stop();
-  }
+  engine_->stop();
 }
 
 void Cluster::watchdog_dump(common::Ticks now) {

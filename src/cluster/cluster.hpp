@@ -101,13 +101,14 @@ struct FaultEvent {
 struct ClusterConfig {
   ManagerKind manager = ManagerKind::kPenelope;
   int n_nodes = 20;
-  /// Event-execution threads for this single run (DESIGN.md §12): 1 (the
-  /// default) runs the classic serial engine; >1 shards the nodes over
-  /// that many engines advanced in conservative time windows, with a
-  /// bit-identical merged trace. Clamped to n_nodes. Runs with the
-  /// membership layer enabled fall back to 1 with a warning: peer
-  /// reclamation is cross-shard protocol feedback with no conservative
-  /// window, so it stays serial.
+  /// Event-execution threads for this single run (DESIGN.md §12): the
+  /// shard count of the run's sim::ShardedSimulator. 1 (the default) is
+  /// the one-shard engine, which runs every event on one heap in
+  /// scheduling order; >1 shards the nodes over that many heaps advanced
+  /// in conservative time windows, with a bit-identical merged trace.
+  /// Clamped to n_nodes. Runs with the membership layer enabled clamp it
+  /// to 1 with a warning: peer reclamation is cross-shard protocol
+  /// feedback with no conservative window.
   int sim_jobs = 1;
   double per_socket_cap_watts = 80.0;
   int sockets_per_node = 2;
@@ -307,37 +308,22 @@ class Cluster {
 
   ClusterMetrics& metrics() { return metrics_; }
   const ClusterMetrics& metrics() const { return metrics_; }
-  /// The serial engine. Sharded runs (sim_jobs > 1) have no single
-  /// engine — use the engine-agnostic accessors below instead.
-  sim::Simulator& simulator() {
-    PEN_CHECK_MSG(!engine_, "no serial simulator when sim_jobs > 1");
-    return sim_;
-  }
   net::Network& network() { return *net_; }
   const ClusterConfig& config() const { return config_; }
 
-  /// --- engine-agnostic views (serial or sharded) -----------------------
-  bool sharded() const { return engine_ != nullptr; }
+  /// --- engine views -----------------------------------------------------
   /// Current virtual time: the executing context's clock during a run,
   /// the global frontier between runs.
-  common::Ticks now_ticks() const {
-    return engine_ ? engine_->context_now() : sim_.now();
-  }
-  /// Merged across engines in sharded mode; bit-identical to the serial
-  /// value for the same configuration (the determinism contract the
-  /// SimJobs tests pin).
-  std::uint64_t trace_hash() const {
-    return engine_ ? engine_->trace_hash() : sim_.trace_hash();
-  }
+  common::Ticks now_ticks() const { return engine_->context_now(); }
+  /// Merged across shards; bit-identical for every sim_jobs value of the
+  /// same configuration (the determinism contract the SimJobs tests pin).
+  std::uint64_t trace_hash() const { return engine_->trace_hash(); }
   std::uint64_t executed_events() const {
-    return engine_ ? engine_->executed_events() : sim_.executed_events();
+    return engine_->executed_events();
   }
-  std::size_t pending_events() const {
-    return engine_ ? engine_->pending_events() : sim_.pending_events();
-  }
+  std::size_t pending_events() const { return engine_->pending_events(); }
   std::size_t pending_high_water() const {
-    return engine_ ? engine_->pending_high_water()
-                   : sim_.pending_high_water();
+    return engine_->pending_high_water();
   }
 
   /// Crash / restart a client node now (Penelope and central managers).
@@ -388,22 +374,16 @@ class Cluster {
   void arm_churn();
   void on_node_complete(net::NodeId node, common::Ticks at);
   NodeConfig make_node_config(int node);
-  /// The engine a node's actor lives on: its shard when sharded, the
-  /// serial engine otherwise.
+  /// The engine a node's actor lives on: its shard's heap.
   sim::Simulator& node_sim(int node) {
-    return engine_ ? engine_->shard(shard_of_[static_cast<std::size_t>(node)])
-                   : sim_;
+    return engine_->shard(shard_of_[static_cast<std::size_t>(node)]);
   }
   /// The engine cluster-global events (faults, churn, audit, trace
-  /// sampling) run on: the control plane when sharded, the serial engine
-  /// otherwise.
-  sim::Simulator& control_sim() {
-    return engine_ ? engine_->control() : sim_;
-  }
+  /// sampling) run on: the control plane (the one heap at sim_jobs=1).
+  sim::Simulator& control_sim() { return engine_->control(); }
 
   ClusterConfig config_;
-  sim::Simulator sim_;                            ///< sim_jobs == 1
-  std::unique_ptr<sim::ShardedSimulator> engine_; ///< sim_jobs > 1
+  std::unique_ptr<sim::ShardedSimulator> engine_;  ///< sim_jobs shards
   std::vector<int> shard_of_;
   std::unique_ptr<net::Network> net_;
   ClusterMetrics metrics_;

@@ -8,7 +8,7 @@ namespace penelope::cluster {
 
 ClusterMetrics::ClusterMetrics()
     : registry_(telemetry::Concurrency::kSingleThread) {
-  slots_.resize(1);  // serial default; configure_sharding() widens this
+  slots_.resize(1);  // one context until configure_contexts()
   turnaround_hist_ = registry_.histogram(
       "penelope_turnaround_ms", 0.0, 4000.0, 40, {},
       "request-to-grant turnaround in milliseconds");
@@ -62,10 +62,11 @@ ClusterMetrics::ClusterMetrics()
                         "suspected->dead detector transitions");
 }
 
-void ClusterMetrics::configure_sharding(int shards, int n_nodes) {
-  PEN_CHECK(shards >= 1 && n_nodes >= 0);
-  slots_.resize(static_cast<std::size_t>(shards) + 1);
-  if (static_cast<std::size_t>(n_nodes) > reclaim_tags_.size())
+void ClusterMetrics::configure_contexts(int contexts, int n_nodes) {
+  PEN_CHECK(contexts >= 1 && n_nodes >= 0);
+  slots_.resize(static_cast<std::size_t>(contexts));
+  if (contexts > 1 &&
+      static_cast<std::size_t>(n_nodes) > reclaim_tags_.size())
     reclaim_tags_.resize(static_cast<std::size_t>(n_nodes));
 }
 

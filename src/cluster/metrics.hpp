@@ -18,7 +18,7 @@
 // Sharded runs (DESIGN.md §12): counters/gauges/histograms are atomic
 // already; the event-list collectors (turnarounds, releases, applies)
 // write into per-execution-context slots selected by
-// sim::ShardedSimulator::current_shard(), merged on read. Reclaim tags
+// sim::ShardedSimulator::current_context(), merged on read. Reclaim tags
 // are dense per-node slots, each touched only by its owner's context
 // in-window (drop handler in the destination's shard) or at barriers
 // (crash/restart), so no lock is needed anywhere on the hot path.
@@ -50,11 +50,11 @@ class ClusterMetrics {
   ClusterMetrics(const ClusterMetrics&) = delete;
   ClusterMetrics& operator=(const ClusterMetrics&) = delete;
 
-  /// Sharded runs: pre-size one event-collector slot per execution
-  /// context (K shard windows plus the barrier/control context) and one
-  /// reclaim-tag slot per node, so windows never resize shared storage.
-  /// Serial runs skip this and use the single default slot.
-  void configure_sharding(int shards, int n_nodes);
+  /// One event-collector slot per execution context of the run's engine
+  /// (sim::ShardedSimulator::contexts()). With several contexts, also
+  /// pre-size one reclaim-tag slot per node, so windows never resize
+  /// shared storage.
+  void configure_contexts(int contexts, int n_nodes);
 
   /// --- turnaround -------------------------------------------------------
   void record_turnaround(common::Ticks sent_at, common::Ticks resolved_at);
@@ -246,10 +246,9 @@ class ClusterMetrics {
   };
 
   /// Which EventSlot the calling context owns: shard s -> slot s + 1,
-  /// everything else (serial runs, barriers, control events) -> slot 0.
+  /// everything else (one-shard runs, barriers, control events) -> 0.
   EventSlot& slot() {
-    int shard = sim::ShardedSimulator::current_shard();
-    return slots_[shard >= 0 ? static_cast<std::size_t>(shard) + 1 : 0];
+    return slots_[sim::ShardedSimulator::current_context()];
   }
 
   void add_reclaim_tag(std::int32_t node, std::uint32_t incarnation,

@@ -72,26 +72,18 @@ void accumulate(NetworkStats& into, const NetworkStats& from) {
 
 }  // namespace
 
-Network::Network(sim::Simulator& sim, NetworkConfig config)
-    : sim_(&sim), config_(config) {
-  contexts_.resize(1);
-}
-
 Network::Network(sim::ShardedSimulator& engine, NetworkConfig config,
                  std::vector<int> shard_of)
-    : engine_(&engine), shard_of_(std::move(shard_of)), config_(config) {
-  const int shards = engine.shards();
-  for (int s : shard_of_) PEN_CHECK(s >= 0 && s < shards);
+    : engine_(engine), staged_(engine.shards() > 1), config_(config) {
   PEN_CHECK_MSG(engine.lookahead() <= lookahead(),
                 "engine window is wider than the latency floor allows");
-  contexts_.resize(static_cast<std::size_t>(shards) + 1);
+  contexts_.resize(static_cast<std::size_t>(engine.contexts()));
+  if (!staged_) return;
+  shard_of_ = std::move(shard_of);
+  for (int s : shard_of_) PEN_CHECK(s >= 0 && s < engine.shards());
   // Pre-size every node-indexed table windows read or write, so no
   // window ever resizes shared storage.
-  sources_.resize(shard_of_.size());
-  for (std::size_t n = 0; n < sources_.size(); ++n) {
-    sources_[n].rng = common::Rng(
-        source_seed(config_.seed, static_cast<NodeId>(n)));
-  }
+  grow_sources(shard_of_.size());
   failed_.assign(shard_of_.size(), 0);
   asym_from_.assign(shard_of_.size(), 0);
   asym_to_.assign(shard_of_.size(), 0);
@@ -99,30 +91,32 @@ Network::Network(sim::ShardedSimulator& engine, NetworkConfig config,
   paused_.assign(shard_of_.size(), 0);
   paused_inbox_.resize(shard_of_.size());
   paused_outbox_.resize(shard_of_.size());
-  engine_->add_barrier_hook([this] { flush_staged(); });
+  engine_.add_barrier_hook([this] { flush_staged(); });
 }
 
-std::size_t Network::context_index() const {
-  if (engine_ == nullptr) return 0;
-  int ctx = sim::ShardedSimulator::current_shard();
-  return ctx >= 0 ? static_cast<std::size_t>(ctx) : contexts_.size() - 1;
+void Network::grow_sources(std::size_t size) {
+  std::size_t old = sources_.size();
+  sources_.resize(size);
+  for (std::size_t n = old; n < size; ++n) {
+    sources_[n].rng = common::Rng(
+        source_seed(config_.seed, static_cast<NodeId>(n)));
+  }
 }
 
 Network::SourceState& Network::source_state(NodeId src) {
+  PEN_CHECK(src >= 0);
   auto idx = static_cast<std::size_t>(src);
-  if (engine_ != nullptr) {
-    PEN_CHECK(src >= 0 && idx < sources_.size());
-    return sources_[idx];
-  }
   if (idx >= sources_.size()) {
-    std::size_t old = sources_.size();
-    sources_.resize(idx + 1);
-    for (std::size_t n = old; n < sources_.size(); ++n) {
-      sources_[n].rng = common::Rng(
-          source_seed(config_.seed, static_cast<NodeId>(n)));
-    }
+    PEN_CHECK_MSG(!staged_, "a staged send's source must be in shard_of");
+    grow_sources(idx + 1);
   }
   return sources_[idx];
+}
+
+int Network::dst_shard(NodeId node) const {
+  if (node < 0 || static_cast<std::size_t>(node) >= shard_of_.size())
+    return -1;
+  return shard_of_[static_cast<std::size_t>(node)];
 }
 
 std::uint32_t Network::acquire_handler(Handler handler,
@@ -202,7 +196,7 @@ std::uint64_t Network::send(NodeId src, NodeId dst, Payload payload) {
   msg.src = src;
   msg.dst = dst;
   msg.id = make_msg_id(src, source.next_msg++);
-  msg.sent_at = engine_ != nullptr ? engine_->context_now() : sim_->now();
+  msg.sent_at = engine_.context_now();
   msg.payload = payload;
   cx.stats.payload_bytes_sent += payload_wire_bytes(msg.payload);
 
@@ -241,7 +235,7 @@ std::uint64_t Network::send(NodeId src, NodeId dst, Payload payload) {
       ++cx.stats.paused_held;
       return;
     }
-    schedule_copy(cx, m, delay, track);
+    schedule_copy(cx, m, now + delay, track);
   };
 
   std::uint64_t id = msg.id;
@@ -249,7 +243,9 @@ std::uint64_t Network::send(NodeId src, NodeId dst, Payload payload) {
   if (source.rng.chance(config_.duplicate_probability)) {
     ++cx.stats.duplicated;
     tracked = true;
-    if (engine_ == nullptr) cx.copies[id] = CopyState{2, false};
+    // Direct scheduling tracks both copies now; staged copies are
+    // counted in the destination's context when the flush schedules them.
+    if (!staged_) cx.copies[id] = CopyState{2, false};
     // The copy shares the original's payload bytes by trivial copy of the
     // inline variant — cheaper than a shared_ptr indirection would be
     // (no allocation, no refcount; measured in BENCH_net.json), and the
@@ -305,19 +301,17 @@ void Network::schedule_delivery(sim::Simulator& engine, common::Ticks at,
 }
 
 void Network::schedule_copy(ContextState& cx, const Message& msg,
-                            common::Ticks delay, bool tracked) {
-  if (engine_ != nullptr) {
-    // Stage everything — intra-shard sends too. Delivery order must not
-    // depend on the shard layout, and the conservative bound guarantees
-    // the arrival is at or past the window boundary that will flush it.
-    common::Ticks at = engine_->context_now() + delay;
-    cx.staged.push_back(
-        StagedSend{at, static_cast<std::uint8_t>(tracked), msg});
-    if (cx.staged.size() > cx.staged_high_water)
-      cx.staged_high_water = cx.staged.size();
+                            common::Ticks at, bool tracked) {
+  if (!staged_) {
+    schedule_delivery(engine_.shard(0), at, msg);
     return;
   }
-  schedule_delivery(*sim_, sim_->now() + delay, msg);
+  // Stage everything — intra-shard sends too. Delivery order must not
+  // depend on the shard layout, and the conservative bound guarantees
+  // the arrival is at or past the window boundary that will flush it.
+  cx.staged.push_back(StagedSend{at, static_cast<std::uint8_t>(tracked), msg});
+  if (cx.staged.size() > cx.staged_high_water)
+    cx.staged_high_water = cx.staged.size();
 }
 
 void Network::flush_staged() {
@@ -338,19 +332,22 @@ void Network::flush_staged() {
               if (a.msg.id != b.msg.id) return a.msg.id < b.msg.id;
               return a.msg.duplicate < b.msg.duplicate;
             });
-  for (const StagedSend& staged : flush_scratch_) {
-    int shard = -1;
-    if (staged.msg.dst >= 0 &&
-        static_cast<std::size_t>(staged.msg.dst) < shard_of_.size())
-      shard = shard_of_[static_cast<std::size_t>(staged.msg.dst)];
-    std::size_t ctxi = shard >= 0 ? static_cast<std::size_t>(shard)
-                                  : contexts_.size() - 1;
-    if (staged.tracked != 0)
-      ++contexts_[ctxi].copies[staged.msg.id].outstanding;
-    sim::Simulator& dst_sim =
-        shard >= 0 ? engine_->shard(shard) : engine_->control();
-    schedule_delivery(dst_sim, staged.at, staged.msg);
+  for (const StagedSend& staged : flush_scratch_)
+    schedule_into_shard(staged, staged.at);
+}
+
+void Network::schedule_into_shard(const StagedSend& staged,
+                                  common::Ticks at) {
+  // The destination's shard owns the delivery; nodes outside the shard
+  // map deliver on the control engine. A tracked copy is counted in the
+  // context it will be delivered in.
+  const int shard = dst_shard(staged.msg.dst);
+  if (staged.tracked != 0) {
+    const std::size_t ctxi = static_cast<std::size_t>(shard + 1);
+    ++contexts_[ctxi].copies[staged.msg.id].outstanding;
   }
+  schedule_delivery(shard >= 0 ? engine_.shard(shard) : engine_.control(),
+                    at, staged.msg);
 }
 
 void Network::deliver(const Message& msg) {
@@ -361,10 +358,8 @@ void Network::deliver(const Message& msg) {
   // delivery resolves it after resume. Runs in dst's context, and the
   // inbox row belongs to dst, so the ownership rule holds.
   if (node_paused(msg.dst)) {
-    common::Ticks at =
-        engine_ != nullptr ? engine_->context_now() : sim_->now();
     paused_inbox_[static_cast<std::size_t>(msg.dst)].push_back(StagedSend{
-        at, static_cast<std::uint8_t>(0), msg});
+        engine_.context_now(), static_cast<std::uint8_t>(0), msg});
     ++cx.stats.paused_held;
     return;
   }
@@ -445,8 +440,7 @@ void Network::fail_node(NodeId node) {
   failed_[static_cast<std::size_t>(node)] = 1;
   ++context().stats.node_failures;
   PEN_LOG_INFO("network: node %d failed at t=%.3fs", node,
-               common::to_seconds(engine_ != nullptr ? engine_->context_now()
-                                                     : sim_->now()));
+               common::to_seconds(engine_.context_now()));
 }
 
 void Network::recover_node(NodeId node) {
@@ -456,8 +450,7 @@ void Network::recover_node(NodeId node) {
   failed_[static_cast<std::size_t>(node)] = 0;
   ++context().stats.node_recoveries;
   PEN_LOG_INFO("network: node %d recovered at t=%.3fs", node,
-               common::to_seconds(engine_ != nullptr ? engine_->context_now()
-                                                     : sim_->now()));
+               common::to_seconds(engine_.context_now()));
 }
 
 bool Network::node_alive(NodeId node) const {
@@ -509,9 +502,7 @@ void Network::set_one_way_block(const std::vector<NodeId>& from,
   one_way_active_ = !from.empty() && !to.empty();
   PEN_LOG_INFO("network: one-way block %zu->%zu nodes at t=%.3fs",
                from.size(), to.size(),
-               common::to_seconds(engine_ != nullptr
-                                      ? engine_->context_now()
-                                      : sim_->now()));
+               common::to_seconds(engine_.context_now()));
 }
 
 void Network::clear_one_way_block() {
@@ -537,16 +528,14 @@ void Network::pause_node(NodeId node) {
   if (paused_[static_cast<std::size_t>(node)] != 0) return;
   paused_[static_cast<std::size_t>(node)] = 1;
   PEN_LOG_INFO("network: node %d paused at t=%.3fs", node,
-               common::to_seconds(engine_ != nullptr ? engine_->context_now()
-                                                     : sim_->now()));
+               common::to_seconds(engine_.context_now()));
 }
 
 void Network::resume_node(NodeId node) {
   if (!node_paused(node)) return;
   auto idx = static_cast<std::size_t>(node);
   paused_[idx] = 0;
-  const common::Ticks now =
-      engine_ != nullptr ? engine_->context_now() : sim_->now();
+  const common::Ticks now = engine_.context_now();
   // Replay both sides in canonical (arrival, id, duplicate) order so the
   // unblocked history is independent of the queueing order. Inbox frames
   // arrive now; outbox frames depart now and arrive after the delay
@@ -570,7 +559,16 @@ void Network::resume_node(NodeId node) {
                 return a.staged.msg.id < b.staged.msg.id;
               return a.staged.msg.duplicate < b.staged.msg.duplicate;
             });
-  for (const Replay& replay : replays) redeliver(replay.staged, replay.at);
+  for (const Replay& replay : replays) {
+    // A held frame skipped the staged flush, so it is scheduled (and a
+    // tracked copy counted) here the way the flush would have; direct
+    // sends counted their copies at send time.
+    if (staged_) {
+      schedule_into_shard(replay.staged, replay.at);
+    } else {
+      schedule_delivery(engine_.shard(0), replay.at, replay.staged.msg);
+    }
+  }
   PEN_LOG_INFO("network: node %d resumed at t=%.3fs (%zu frames replayed)",
                node, common::to_seconds(now), replays.size());
 }
@@ -578,28 +576,6 @@ void Network::resume_node(NodeId node) {
 bool Network::node_paused(NodeId node) const {
   return node >= 0 && static_cast<std::size_t>(node) < paused_.size() &&
          paused_[static_cast<std::size_t>(node)] != 0;
-}
-
-void Network::redeliver(const StagedSend& staged, common::Ticks at) {
-  int shard = -1;
-  if (engine_ != nullptr && staged.msg.dst >= 0 &&
-      static_cast<std::size_t>(staged.msg.dst) < shard_of_.size())
-    shard = shard_of_[static_cast<std::size_t>(staged.msg.dst)];
-  const std::size_t ctxi =
-      engine_ == nullptr
-          ? 0
-          : (shard >= 0 ? static_cast<std::size_t>(shard)
-                        : contexts_.size() - 1);
-  // Serial sends create their duplicate-tracking entry at send time;
-  // sharded sends create it at flush — a held outbox frame skipped that
-  // flush, so the increment happens here instead.
-  if (engine_ != nullptr && staged.tracked != 0)
-    ++contexts_[ctxi].copies[staged.msg.id].outstanding;
-  sim::Simulator& dst_sim =
-      engine_ == nullptr
-          ? *sim_
-          : (shard >= 0 ? engine_->shard(shard) : engine_->control());
-  schedule_delivery(dst_sim, at, staged.msg);
 }
 
 void Network::set_fault_rates(const FaultRates& rates) {

@@ -39,8 +39,10 @@
 // delivering touch the allocator not at all — pinned by the
 // net.zero_alloc ctest case (bench_network --alloc-check).
 //
-// Sharded mode (DESIGN.md §12): constructed over a sim::ShardedSimulator
-// plus a node→shard map, the network stages *every* send — intra- and
+// One engine, two scheduling modes (DESIGN.md §12). The network always
+// runs over a sim::ShardedSimulator. With one shard it schedules every
+// delivery directly on that shard's heap, so equal-tick arrivals run in
+// send order. With K >= 2 shards it stages *every* send — intra- and
 // inter-shard — into per-execution-context buffers, and a barrier hook
 // flushes them in canonical (arrival time, message id, duplicate) order
 // into the destination shards' heaps. Because message ids are per source
@@ -159,14 +161,13 @@ class Network {
   using Handler = std::function<void(const Message&)>;
   using DropHandler = std::function<void(const Message&, DropReason)>;
 
-  /// Serial mode: deliveries are scheduled directly on `sim`.
-  Network(sim::Simulator& sim, NetworkConfig config);
-
-  /// Sharded mode: `shard_of[node]` maps every node the run will ever
-  /// address to its shard; sends stage into per-context buffers and a
-  /// barrier hook (registered here) flushes them in canonical order.
+  /// Deliveries run on `engine`. With one shard they are scheduled
+  /// directly; with more, `shard_of[node]` maps every node the run will
+  /// ever address to its shard, sends stage into per-context buffers,
+  /// and a barrier hook (registered here) flushes them in canonical
+  /// order.
   Network(sim::ShardedSimulator& engine, NetworkConfig config,
-          std::vector<int> shard_of);
+          std::vector<int> shard_of = {});
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -266,10 +267,6 @@ class Network {
   /// Aggregated statistics. Sharded mode: merged across contexts; call
   /// from a barrier or after the run.
   const NetworkStats& stats() const;
-  sim::Simulator& simulator() {
-    PEN_CHECK_MSG(sim_ != nullptr, "no serial simulator in sharded mode");
-    return *sim_;
-  }
 
   /// The engine lookahead this configuration supports: every one-way
   /// latency sample is >= this.
@@ -281,7 +278,7 @@ class Network {
   /// from `src`'s stream.
   common::Ticks sample_latency(NodeId src = 0);
 
-  /// Staged-send high-water mark across contexts (0 in serial mode).
+  /// Staged-send high-water mark across contexts (0 with one shard).
   std::size_t staging_capacity() const;
 
  private:
@@ -300,16 +297,18 @@ class Network {
     SourceState() : rng(0) {}
   };
 
-  /// A send waiting for the window barrier (sharded mode only).
+  /// A send waiting for the window barrier (staged mode only).
   struct StagedSend {
     common::Ticks at = 0;  ///< arrival time
     std::uint8_t tracked = 0;  ///< id has a duplicate-copy tracking entry
     Message msg;
   };
 
-  /// Mutable state owned by one execution context (shard 0..K-1 windows,
-  /// or row K for barrier/control/serial). No two contexts ever touch
-  /// the same row inside a window; barriers merge on demand.
+  /// Mutable state owned by one execution context (row 0 for the
+  /// barrier/control context and the one-shard engine, row s + 1 for
+  /// shard s's windows; see ShardedSimulator::current_context). No two
+  /// contexts ever touch the same row inside a window; barriers merge on
+  /// demand.
   struct ContextState {
     NetworkStats stats;
     std::unordered_map<std::uint64_t, CopyState> copies;
@@ -325,25 +324,32 @@ class Network {
   /// Schedule a delivery event on `engine` that carries `msg` by value.
   void schedule_delivery(sim::Simulator& engine, common::Ticks at,
                          const Message& msg);
+  /// Schedule (one shard) or stage (K >= 2) a copy arriving at `at`.
   void schedule_copy(ContextState& ctx, const Message& msg,
-                     common::Ticks delay, bool tracked);
+                     common::Ticks at, bool tracked);
   common::Ticks sample_copy_delay(SourceState& src, NetworkStats& stats);
   void flush_staged();
-  /// Schedule one replayed message (resume path); does for a single
-  /// message what flush_staged does for a staged batch.
-  void redeliver(const StagedSend& staged, common::Ticks at);
+  /// Schedule a staged or replayed copy on its destination's shard,
+  /// counting a tracked copy in that shard's context (staged mode).
+  void schedule_into_shard(const StagedSend& staged, common::Ticks at);
+  /// The destination shard of `node`, or -1 (control engine) when the
+  /// shard map does not cover it.
+  int dst_shard(NodeId node) const;
   /// Take a handler-table slot for `handler`, referenced by `nodes`
   /// endpoints; release_handler() drops one reference and recycles the
   /// slot when none remain.
   std::uint32_t acquire_handler(Handler handler, std::uint32_t nodes);
   void release_handler(std::uint32_t entry);
   SourceState& source_state(NodeId src);
-  std::size_t context_index() const;
-  ContextState& context() { return contexts_[context_index()]; }
+  void grow_sources(std::size_t size);
+  ContextState& context() {
+    return contexts_[sim::ShardedSimulator::current_context()];
+  }
 
-  sim::Simulator* sim_ = nullptr;           ///< serial mode
-  sim::ShardedSimulator* engine_ = nullptr; ///< sharded mode
-  std::vector<int> shard_of_;
+  sim::ShardedSimulator& engine_;
+  /// K >= 2: sends stage and flush at barriers. K == 1: direct scheduling.
+  const bool staged_;
+  std::vector<int> shard_of_;  ///< staged mode only
   NetworkConfig config_;
   DropHandler drop_handler_;
   /// Dense NodeId-indexed tables: node ids are small and contiguous in
@@ -384,11 +390,10 @@ class Network {
   std::vector<std::uint8_t> paused_;
   std::vector<std::vector<StagedSend>> paused_inbox_;
   std::vector<std::vector<StagedSend>> paused_outbox_;
-  /// Per-source-node streams. Serial mode grows lazily; sharded mode is
+  /// Per-source-node streams. Direct mode grows lazily; staged mode is
   /// pre-sized from shard_of_ so windows never resize it.
   std::vector<SourceState> sources_;
-  /// One row per execution context: contexts_[K] doubles as the serial
-  /// state (serial mode has exactly one row).
+  /// One row per execution context (exactly one with one shard).
   std::vector<ContextState> contexts_;
   /// Scratch for the canonical flush sort; reaches a high-water mark and
   /// stays allocation-free afterwards.

@@ -7,15 +7,6 @@
 
 namespace penelope::sim {
 
-namespace {
-
-/// Which shard's window this thread is executing; -1 everywhere else.
-thread_local int t_current_shard = -1;
-
-}  // namespace
-
-int ShardedSimulator::current_shard() { return t_current_shard; }
-
 ShardedSimulator::ShardedSimulator(int shards, Ticks lookahead)
     : lookahead_(lookahead) {
   PEN_CHECK(shards >= 1);
@@ -24,7 +15,14 @@ ShardedSimulator::ShardedSimulator(int shards, Ticks lookahead)
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s)
     shards_.push_back(std::make_unique<Simulator>());
-  posts_.resize(static_cast<std::size_t>(shards) + 1);
+  if (shards == 1) {
+    solo_ = shards_.front().get();
+    control_ = solo_;
+  } else {
+    own_control_ = std::make_unique<Simulator>();
+    control_ = own_control_.get();
+    posts_.resize(static_cast<std::size_t>(shards) + 1);
+  }
 }
 
 ShardedSimulator::~ShardedSimulator() {
@@ -36,52 +34,65 @@ ShardedSimulator::~ShardedSimulator() {
   for (auto& worker : workers_) worker.join();
 }
 
-Ticks ShardedSimulator::context_now() const {
-  int ctx = current_shard();
+Ticks ShardedSimulator::windowed_context_now() const {
+  int ctx = detail::t_current_shard;
   if (ctx >= 0) return shards_[static_cast<std::size_t>(ctx)]->now();
-  return std::max(control_.now(), now_);
+  return std::max(control_->now(), now_);
 }
 
 void ShardedSimulator::post_to_barrier(std::function<void()> fn) {
   PEN_CHECK(fn != nullptr);
-  int ctx = current_shard();
+  if (solo_ != nullptr) {
+    fn();
+    return;
+  }
+  int ctx = detail::t_current_shard;
   std::size_t row = ctx >= 0 ? static_cast<std::size_t>(ctx) : shards_.size();
   posts_[row].push_back(std::move(fn));
 }
 
 void ShardedSimulator::add_barrier_hook(std::function<void()> hook) {
   PEN_CHECK(hook != nullptr);
+  PEN_CHECK_MSG(solo_ == nullptr, "a one-shard engine has no barriers");
   barrier_hooks_.push_back(std::move(hook));
 }
 
-void ShardedSimulator::reserve(std::size_t per_shard) {
+void ShardedSimulator::reserve(std::size_t per_shard, std::size_t control) {
   for (auto& shard : shards_) shard->reserve(per_shard);
+  if (own_control_) own_control_->reserve(control);
+}
+
+template <typename Fn>
+void ShardedSimulator::for_each_heap(Fn fn) const {
+  for (const auto& shard : shards_) fn(*shard);
+  if (own_control_) fn(*own_control_);
 }
 
 std::uint64_t ShardedSimulator::trace_hash() const {
   // Wrapping sum: Simulator's per-engine hash is itself an
   // order-insensitive sum of per-event mixes, so adding the partial sums
   // reproduces exactly the value one engine executing everything reports.
-  std::uint64_t hash = control_.trace_hash();
-  for (const auto& shard : shards_) hash += shard->trace_hash();
+  std::uint64_t hash = 0;
+  for_each_heap([&](const Simulator& heap) { hash += heap.trace_hash(); });
   return hash;
 }
 
 std::uint64_t ShardedSimulator::executed_events() const {
-  std::uint64_t total = control_.executed_events();
-  for (const auto& shard : shards_) total += shard->executed_events();
+  std::uint64_t total = 0;
+  for_each_heap([&](const Simulator& heap) { total += heap.executed_events(); });
   return total;
 }
 
 std::size_t ShardedSimulator::pending_events() const {
-  std::size_t total = control_.pending_events();
-  for (const auto& shard : shards_) total += shard->pending_events();
+  std::size_t total = 0;
+  for_each_heap([&](const Simulator& heap) { total += heap.pending_events(); });
   return total;
 }
 
 std::size_t ShardedSimulator::pending_high_water() const {
-  std::size_t total = control_.pending_high_water();
-  for (const auto& shard : shards_) total += shard->pending_high_water();
+  std::size_t total = 0;
+  for_each_heap(
+      [&](const Simulator& heap) { total += heap.pending_high_water(); });
   return total;
 }
 
@@ -102,6 +113,10 @@ void ShardedSimulator::drain_posts() {
 }
 
 void ShardedSimulator::run_until(Ticks deadline) {
+  if (solo_ != nullptr) {
+    solo_->run_until(deadline);
+    return;
+  }
   PEN_CHECK(deadline >= now_);
   stopped_ = false;
   stop_requested_ = false;
@@ -113,7 +128,7 @@ void ShardedSimulator::run_until(Ticks deadline) {
     }
     for (auto& hook : barrier_hooks_) hook();
 
-    Ticks control_next = control_.next_event_at();
+    Ticks control_next = control_->next_event_at();
     Ticks shard_next = kNoPendingEvent;
     for (const auto& shard : shards_)
       shard_next = std::min(shard_next, shard->next_event_at());
@@ -122,7 +137,7 @@ void ShardedSimulator::run_until(Ticks deadline) {
       // Drained (or only future work left): land every engine exactly on
       // the deadline so context_now() and scheduling stay consistent.
       for (auto& shard : shards_) shard->advance_to(deadline);
-      control_.advance_to(deadline);
+      control_->advance_to(deadline);
       now_ = deadline;
       return;
     }
@@ -134,7 +149,7 @@ void ShardedSimulator::run_until(Ticks deadline) {
       // into actors (crash, restart, budget changes) whose relative
       // scheduling must see the same now() a serial run would.
       for (auto& shard : shards_) shard->advance_to(control_next);
-      control_.run_until(control_next);
+      control_->run_until(control_next);
       now_ = control_next;
       continue;
     }
@@ -157,13 +172,13 @@ void ShardedSimulator::run_shards_window(Ticks end) {
     }
   }
   if (active == 0) return;
-  if (active == 1 || shards_.size() == 1) {
+  if (active == 1) {
     // Sparse region of virtual time: no wakeups, no handshake. Sends the
     // lone shard makes still stage and flush at the next barrier, so the
     // merge order is identical to the parallel path.
-    t_current_shard = last_active;
+    detail::t_current_shard = last_active;
     shards_[static_cast<std::size_t>(last_active)]->run_window(end);
-    t_current_shard = -1;
+    detail::t_current_shard = -1;
     return;
   }
 
@@ -176,9 +191,9 @@ void ShardedSimulator::run_shards_window(Ticks end) {
   }
   cv_.notify_all();
 
-  t_current_shard = 0;
+  detail::t_current_shard = 0;
   shards_[0]->run_window(end);
-  t_current_shard = -1;
+  detail::t_current_shard = -1;
 
   const int target = static_cast<int>(shards_.size()) - 1;
   while (done_count_.load(std::memory_order_acquire) < target)
@@ -208,9 +223,9 @@ void ShardedSimulator::worker_loop(int worker) {
       epoch = epoch_.load(std::memory_order_acquire);
     }
     seen = epoch;
-    t_current_shard = static_cast<int>(shard);
+    detail::t_current_shard = static_cast<int>(shard);
     shards_[shard]->run_window(window_end_);
-    t_current_shard = -1;
+    detail::t_current_shard = -1;
     done_count_.fetch_add(1, std::memory_order_release);
   }
 }

@@ -85,7 +85,8 @@ TEST(FairNodeActor, CapNeverChanges) {
 }
 
 struct PenelopePairFixture {
-  sim::Simulator sim;
+  sim::ShardedSimulator engine{/*shards=*/1, /*lookahead=*/1};
+  sim::Simulator& sim = engine.shard(0);
   net::Network net;
   ClusterMetrics metrics;
   std::unique_ptr<PenelopeNodeActor> donor;
@@ -93,7 +94,7 @@ struct PenelopePairFixture {
 
   PenelopePairFixture(double donor_demand, double hungry_demand,
                       net::NetworkConfig net_cfg = {})
-      : net(sim, net_cfg) {
+      : net(engine, net_cfg) {
     core::PoolConfig pool;
     net::SerialServerConfig service{.service_min = 5, .service_max = 10,
                                     .queue_capacity = 64, .seed = 3};
@@ -263,8 +264,9 @@ TEST(PenelopeNodeActor, PartialGrantAppliesAreNotOverCounted) {
   }
   surge.phases.push_back(workload::Phase{"tail", 400.0, 1e6});
 
-  sim::Simulator sim;
-  net::Network net(sim, net::NetworkConfig{});
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
+  net::Network net(engine, net::NetworkConfig{});
   ClusterMetrics metrics;
   core::PoolConfig pool;
   net::SerialServerConfig service{.service_min = 5, .service_max = 10,
@@ -287,8 +289,9 @@ TEST(PenelopeNodeActor, PartialGrantAppliesAreNotOverCounted) {
 }
 
 TEST(PenelopeNodeActor, BlacklistedStickyPeerFallsBackToRedraw) {
-  sim::Simulator sim;
-  net::Network net(sim, net::NetworkConfig{});
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
+  net::Network net(engine, net::NetworkConfig{});
   ClusterMetrics metrics;
   core::PoolConfig pool;
   net::SerialServerConfig service{.service_min = 5, .service_max = 10,
@@ -330,8 +333,9 @@ TEST(PenelopeNodeActor, BlacklistedStickyPeerFallsBackToRedraw) {
 }
 
 TEST(CentralClientActor, UnknownTxnGrantIsStrandedNotApplied) {
-  sim::Simulator sim;
-  net::Network net(sim, net::NetworkConfig{});
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
+  net::Network net(engine, net::NetworkConfig{});
   ClusterMetrics metrics;
   NodeConfig nc = test_node_config(0);
   // Demand just under the cap: the client neither donates nor requests,
@@ -356,10 +360,11 @@ TEST(CentralClientActor, UnknownTxnGrantIsStrandedNotApplied) {
 TEST(CentralClientActor, DuplicatedUnknownGrantStrandsOnlyOnce) {
   // The duplicate of a forged/unknown grant must be refused by the
   // receive window before the stranding branch can run twice.
-  sim::Simulator sim;
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
   net::NetworkConfig cfg;
   cfg.duplicate_probability = 1.0;
-  net::Network net(sim, cfg);
+  net::Network net(engine, cfg);
   ClusterMetrics metrics;
   NodeConfig nc = test_node_config(0);
   CentralClientActor client(sim, net, nc, /*server_id=*/5,
@@ -380,8 +385,9 @@ TEST(PenelopeNodeActor, UrgencyRestoresStarvedNode) {
   // Donor gives away power while idle, then becomes hungry below its
   // initial cap: urgency must pull it back up even though the system has
   // no free excess.
-  sim::Simulator sim;
-  net::Network net(sim, net::NetworkConfig{});
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
+  net::Network net(engine, net::NetworkConfig{});
   ClusterMetrics metrics;
   core::PoolConfig pool;
   net::SerialServerConfig service{.service_min = 5, .service_max = 10,

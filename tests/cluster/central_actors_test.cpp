@@ -35,14 +35,15 @@ workload::WorkloadProfile steady(double demand) {
 }
 
 struct CentralFixture {
-  sim::Simulator sim;
+  sim::ShardedSimulator engine{/*shards=*/1, /*lookahead=*/1};
+  sim::Simulator& sim = engine.shard(0);
   net::Network net;
   ClusterMetrics metrics;
   std::unique_ptr<CentralClientActor> donor;
   std::unique_ptr<CentralClientActor> hungry;
   std::unique_ptr<CentralServerActor> server;
 
-  CentralFixture() : net(sim, net::NetworkConfig{}) {
+  CentralFixture() : net(engine, net::NetworkConfig{}) {
     net::SerialServerConfig service;
     service.seed = 5;
     donor = std::make_unique<CentralClientActor>(
@@ -112,8 +113,9 @@ TEST(CentralActors, ServerKillStopsGrantsButAppContinues) {
 }
 
 TEST(HierarchicalActors, ProfilesThenAssignsThenShifts) {
-  sim::Simulator sim;
-  net::Network net(sim, net::NetworkConfig{});
+  sim::ShardedSimulator engine(/*shards=*/1, /*lookahead=*/1);
+  sim::Simulator& sim = engine.shard(0);
+  net::Network net(engine, net::NetworkConfig{});
   ClusterMetrics metrics;
   net::SerialServerConfig service;
   service.seed = 5;

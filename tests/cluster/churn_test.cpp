@@ -228,7 +228,7 @@ TEST(Churn, ChurnScheduleIsDeterministicPerSeed) {
     cc.max_seconds = 40.0;
     Cluster cluster(cc, long_profiles(cc.n_nodes));
     cluster.run_for(35.0);
-    return cluster.simulator().trace_hash();
+    return cluster.trace_hash();
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NE(run_once(5), run_once(6));
@@ -251,8 +251,8 @@ TEST(Churn, MembershipOffZeroChurnMatchesTheGoldenTrace) {
                                           workload::NpbApp::kDC,
                                           cc.n_nodes, {}));
   cluster.run_for(30.0);
-  EXPECT_EQ(cluster.simulator().executed_events(), 1665u);
-  EXPECT_EQ(cluster.simulator().trace_hash(), 0x868a597206f3db95ull);
+  EXPECT_EQ(cluster.executed_events(), 1665u);
+  EXPECT_EQ(cluster.trace_hash(), 0x868a597206f3db95ull);
   EXPECT_EQ(cluster.metrics().requests_sent(), 352u);
   EXPECT_EQ(cluster.metrics().timeouts(), 15u);
   EXPECT_EQ(cluster.metrics().nodes_suspected(), 0u);

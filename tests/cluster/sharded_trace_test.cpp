@@ -121,14 +121,14 @@ TEST(SimJobs, RepeatedShardedRunsAreBitIdentical) {
 
 TEST(SimJobs, MembershipFallsBackToSerialExecution) {
   // Failure detection mutates shared suspicion state on every heartbeat;
-  // until that is context-split, membership runs force the serial
-  // engine — with a warning, not silently wrong results.
+  // until that is context-split, membership runs clamp sim_jobs to 1 —
+  // with a warning, not silently wrong results.
   ClusterConfig cc = golden_config(4);
   cc.membership_enabled = true;
   Cluster cluster(cc, make_pair_workloads(workload::NpbApp::kEP,
                                           workload::NpbApp::kDC,
                                           cc.n_nodes, {}));
-  EXPECT_FALSE(cluster.sharded());
+  EXPECT_EQ(cluster.config().sim_jobs, 1);
   cluster.run_for(5.0);
   EXPECT_GT(cluster.executed_events(), 0u);
 }
@@ -161,7 +161,7 @@ TEST(SimJobs, JobsAreClampedToTheNodeCount) {
   Cluster cluster(cc, make_pair_workloads(workload::NpbApp::kEP,
                                           workload::NpbApp::kDC,
                                           cc.n_nodes, {}));
-  EXPECT_TRUE(cluster.sharded());
+  EXPECT_EQ(cluster.config().sim_jobs, 4);
   TraceFingerprint serial = run_config([] {
     ClusterConfig c = golden_config(1);
     c.n_nodes = 4;

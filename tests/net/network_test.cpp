@@ -28,12 +28,13 @@ int probe_value(const Message& m) {
 }
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedSimulator engine{/*shards=*/1, /*lookahead=*/1};
+  sim::Simulator& sim = engine.shard(0);
   NetworkConfig config;
   std::unique_ptr<Network> net;
 
   explicit Fixture(NetworkConfig cfg = {}) : config(cfg) {
-    net = std::make_unique<Network>(sim, config);
+    net = std::make_unique<Network>(engine, config);
   }
 };
 

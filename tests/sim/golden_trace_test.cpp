@@ -38,13 +38,28 @@ cluster::Cluster make_golden_cluster() {
 TEST(GoldenTrace, TwentyNodePenelopeRunMatchesPreRewriteEngine) {
   cluster::Cluster cl = make_golden_cluster();
   cl.run_for(30.0);
-  const sim::Simulator& sim = cl.simulator();
-  EXPECT_EQ(sim.executed_events(), 1665u);
-  EXPECT_EQ(sim.trace_hash(), 0x868a597206f3db95ull);
-  EXPECT_EQ(sim.now(), 30000000);
-  EXPECT_EQ(sim.pending_events(), 22u);
+  EXPECT_EQ(cl.executed_events(), 1665u);
+  EXPECT_EQ(cl.trace_hash(), 0x868a597206f3db95ull);
+  EXPECT_EQ(cl.now_ticks(), 30000000);
+  EXPECT_EQ(cl.pending_events(), 22u);
   EXPECT_EQ(cl.metrics().requests_sent(), 352u);
   EXPECT_EQ(cl.metrics().timeouts(), 15u);
+}
+
+TEST(GoldenTrace, TwentyNodeRunToCompletionIsPinned) {
+  // run_for pins a fixed window; this pins the completion stop as well.
+  // At sim_jobs=1 the run ends right after the event that completes the
+  // last node, so a stop that landed later (at a window boundary, say)
+  // would execute more events and change both counts.
+  cluster::Cluster cl = make_golden_cluster();
+  cluster::RunResult result = cl.run();
+  ASSERT_TRUE(result.all_completed);
+  EXPECT_EQ(cl.executed_events(), 11689u);
+  EXPECT_EQ(cl.trace_hash(), 0xc9defe2fe1cf2203ull);
+  EXPECT_EQ(cl.now_ticks(), 211008991);
+  EXPECT_EQ(cl.pending_events(), 22u);
+  EXPECT_EQ(result.requests_sent, 2451u);
+  EXPECT_EQ(result.timeouts, 102u);
 }
 
 TEST(GoldenTrace, RepeatedRunsAreBitIdentical) {
@@ -52,8 +67,8 @@ TEST(GoldenTrace, RepeatedRunsAreBitIdentical) {
   cluster::Cluster b = make_golden_cluster();
   a.run_for(30.0);
   b.run_for(30.0);
-  EXPECT_EQ(a.simulator().executed_events(), b.simulator().executed_events());
-  EXPECT_EQ(a.simulator().trace_hash(), b.simulator().trace_hash());
+  EXPECT_EQ(a.executed_events(), b.executed_events());
+  EXPECT_EQ(a.trace_hash(), b.trace_hash());
   EXPECT_EQ(a.metrics().requests_sent(), b.metrics().requests_sent());
 }
 

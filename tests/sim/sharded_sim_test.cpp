@@ -1,6 +1,7 @@
 // Unit tests for the sharded conservative-window engine itself: merged
-// views, control-plane ordering, barrier posts/stop, and — the heart of
-// the K-invariance contract — the canonical merge order of staged sends
+// views, control-plane ordering, barrier posts/stop, the one-shard rules
+// (one heap, inline posts, immediate stop), and — the heart of the
+// K-invariance contract — the canonical merge order of staged sends
 // whose arrivals collide on the same tick.
 #include <gtest/gtest.h>
 
@@ -71,6 +72,53 @@ TEST(ShardedSim, PostToBarrierStopEndsTheRunAtTheWindowBoundary) {
   EXPECT_EQ(engine.pending_events(), 1u);
 }
 
+TEST(ShardedSim, OneShardRunsEqualTicksInSchedulingOrder) {
+  // One shard is one heap: control() and shard(0) are the same engine,
+  // so equal-timestamp events run in the order they were scheduled, not
+  // control-first.
+  ShardedSimulator engine(1, /*lookahead=*/100);
+  EXPECT_EQ(&engine.control(), &engine.shard(0));
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    Simulator& heap = i % 2 == 0 ? engine.control() : engine.shard(0);
+    heap.schedule_at(500, [&order, i] { order.push_back(i); });
+  }
+  engine.run_until(1000);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(engine.executed_events(), 6u);
+  EXPECT_EQ(engine.now(), 1000);
+}
+
+TEST(ShardedSim, OneShardRunsBarrierPostsInline) {
+  // With one shard there is no barrier to wait for: the post runs
+  // before the posting event returns.
+  ShardedSimulator engine(1, /*lookahead=*/100);
+  std::vector<int> order;
+  engine.shard(0).schedule_at(10, [&] {
+    engine.post_to_barrier([&order] { order.push_back(1); });
+    order.push_back(2);
+  });
+  engine.run_until(1000);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ShardedSim, OneShardStopHaltsAfterTheCurrentEvent) {
+  // The one-shard counterpart of the barrier-stop test below: stop()
+  // inside an event ends the run right after that event, not at a
+  // window boundary, so a later event inside the same lookahead stays
+  // pending.
+  ShardedSimulator engine(1, /*lookahead=*/100);
+  engine.shard(0).schedule_at(10, [&engine] { engine.stop(); });
+  bool later_ran = false;
+  engine.shard(0).schedule_at(20, [&later_ran] { later_ran = true; });
+  engine.run_until(1000);
+  EXPECT_TRUE(engine.stopped());
+  EXPECT_FALSE(later_ran);
+  EXPECT_EQ(engine.executed_events(), 1u);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_EQ(engine.now(), 10);
+}
+
 TEST(ShardedSim, ReserveTracksPendingHighWater) {
   ShardedSimulator engine(2, /*lookahead=*/10);
   engine.reserve(32);
@@ -111,34 +159,54 @@ std::vector<std::pair<std::uint64_t, bool>> collision_order(int shards,
   return order;
 }
 
+/// The (id, duplicate) sequence collision_order's sends produce, in send
+/// order: sources 5..0, two messages each; a duplicated message
+/// dispatches its copy before its original.
+std::vector<std::pair<std::uint64_t, bool>> send_order(bool duplicate) {
+  std::vector<std::pair<std::uint64_t, bool>> order;
+  for (std::uint64_t src = 6; src-- > 0;) {
+    for (std::uint64_t k = 1; k <= 2; ++k) {
+      const std::uint64_t id = ((src + 1) << 40) | k;
+      if (duplicate) order.emplace_back(id, true);
+      order.emplace_back(id, false);
+    }
+  }
+  return order;
+}
+
 TEST(ShardedSim, EqualTimestampCollisionsMergeInSourceIdOrder) {
-  // All twelve arrivals collide on one tick. The canonical flush order
-  // is (arrival, message id, duplicate); ids embed the source node, so
-  // delivery runs src 0..5 regardless of send order — and regardless of
-  // how the six sources were laid out across shards.
-  auto baseline = collision_order(1, false);
+  // All twelve arrivals collide on one tick. With two or more shards the
+  // canonical flush order is (arrival, message id, duplicate); ids embed
+  // the source node, so delivery runs src 0..5 regardless of send order
+  // — and regardless of how the six sources were laid out across shards.
+  auto baseline = collision_order(2, false);
   ASSERT_EQ(baseline.size(), 12u);
   for (std::size_t i = 1; i < baseline.size(); ++i) {
     EXPECT_LT(baseline[i - 1].first, baseline[i].first);
   }
-  EXPECT_EQ(collision_order(2, false), baseline);
   EXPECT_EQ(collision_order(3, false), baseline);
   EXPECT_EQ(collision_order(6, false), baseline);
+  // One shard schedules directly: equal-tick arrivals run in send order,
+  // the serial rule the golden trace was recorded under.
+  EXPECT_EQ(collision_order(1, false), send_order(false));
 }
 
 TEST(ShardedSim, DuplicateCopiesDeliverAfterTheirOriginalOnCollision) {
   // With 100% duplication and zero jitter, each copy collides with its
-  // original; the canonical order puts the original first, at every
-  // shard count.
-  auto baseline = collision_order(1, true);
+  // original; with two or more shards the canonical order puts the
+  // original first, at every shard count.
+  auto baseline = collision_order(2, true);
   ASSERT_EQ(baseline.size(), 24u);
   for (std::size_t i = 0; i < baseline.size(); i += 2) {
     EXPECT_EQ(baseline[i].first, baseline[i + 1].first);
     EXPECT_FALSE(baseline[i].second);
     EXPECT_TRUE(baseline[i + 1].second);
   }
-  EXPECT_EQ(collision_order(2, true), baseline);
+  EXPECT_EQ(collision_order(3, true), baseline);
   EXPECT_EQ(collision_order(6, true), baseline);
+  // One shard delivers in send order, where the copy is dispatched
+  // before its original.
+  EXPECT_EQ(collision_order(1, true), send_order(true));
 }
 
 }  // namespace
