@@ -4,7 +4,11 @@
 // many watts — and the journal must export to Perfetto-loadable JSON.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "core/protocol.hpp"
@@ -122,6 +126,80 @@ TEST(StrandedAttribution,
               result.stranded_watts, tolerance);
   EXPECT_NEAR(journaled_stranded - journaled_reclaimed,
               cluster.metrics().stranded_watts(), tolerance);
+}
+
+/// Order-sensitive FNV-1a over every field of every journal record, so
+/// a reordered, added, or re-valued record changes the hash.
+std::uint64_t journal_hash(const std::vector<telemetry::TxnRecord>& records) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const telemetry::TxnRecord& r : records) {
+    mix(static_cast<std::uint64_t>(r.at));
+    mix(r.txn_id);
+    mix(static_cast<std::uint64_t>(r.kind));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.node)));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.peer)));
+    mix(std::bit_cast<std::uint64_t>(r.watts));
+  }
+  return h;
+}
+
+TEST(StrandedAttribution, LossyRunTelemetryIsPinned) {
+  // The golden trace hash sees only simulator events; this pins what the
+  // protocol handlers write into the telemetry layer on the same lossy
+  // run: the journal (per-kind tallies and an order-sensitive hash of
+  // every record) and the ClusterMetrics ledger totals. A refactor of
+  // the node protocol must reproduce every one of them exactly.
+  ClusterConfig cc = lossy_config();
+  Cluster cluster(cc, make_pair_workloads(workload::NpbApp::kEP,
+                                          workload::NpbApp::kDC,
+                                          cc.n_nodes, npb_config(cc.seed)));
+  cluster.run();
+  const ClusterMetrics& m = cluster.metrics();
+  const std::vector<telemetry::TxnRecord> records = m.recorder().snapshot();
+  ASSERT_EQ(m.recorder().dropped(), 0u);
+
+  constexpr std::size_t kKinds =
+      static_cast<std::size_t>(telemetry::TxnEventKind::kReclaimed) + 1;
+  std::array<std::uint64_t, kKinds> tally{};
+  for (const telemetry::TxnRecord& r : records)
+    ++tally[static_cast<std::size_t>(r.kind)];
+  using K = telemetry::TxnEventKind;
+  auto count = [&tally](K kind) {
+    return tally[static_cast<std::size_t>(kind)];
+  };
+  EXPECT_EQ(count(K::kRequestSent), 548u);
+  EXPECT_EQ(count(K::kRequestServed), 511u);
+  EXPECT_EQ(count(K::kGrantReceived), 472u);
+  EXPECT_EQ(count(K::kLateGrant), 0u);
+  EXPECT_EQ(count(K::kTimeout), 76u);
+  EXPECT_EQ(count(K::kApplied), 130u);
+  EXPECT_EQ(count(K::kBanked), 0u);
+  EXPECT_EQ(count(K::kStranded), 23u);
+  EXPECT_EQ(count(K::kDuplicateDropped), 59u);
+  EXPECT_EQ(count(K::kUnknownTxn), 0u);
+  EXPECT_EQ(count(K::kPushSent), 175u);
+  EXPECT_EQ(count(K::kPushReceived), 161u);
+  for (K kind : {K::kDonationSent, K::kDonationReceived, K::kPeerSuspected,
+                 K::kPeerDeclaredDead, K::kFalseSuspicion, K::kPeerRejoined,
+                 K::kReclaimed})
+    EXPECT_EQ(count(kind), 0u) << telemetry::txn_event_name(kind);
+  EXPECT_EQ(journal_hash(records), 0x14fb7129abcdde4cULL);
+
+  EXPECT_EQ(m.requests_sent(), 548u);
+  EXPECT_EQ(m.timeouts(), 76u);
+  EXPECT_EQ(m.duplicates_dropped(), 59u);
+  EXPECT_EQ(m.unknown_txn_grants(), 0u);
+  EXPECT_EQ(m.turnaround_ms().size(), 472u);
+  // Ledger sums are pinned bit for bit: the same additions in the same
+  // order give the same doubles.
+  EXPECT_EQ(m.stranded_watts(), 0x1.6759f1b65bff1p+7);
+  EXPECT_EQ(m.in_flight_watts(), 0.0);
 }
 
 TEST(StrandedAttribution, ChaosJournalExportsPerfettoLoadableJson) {
