@@ -374,6 +374,7 @@ class Cluster {
   void arm_churn();
   void on_node_complete(net::NodeId node, common::Ticks at);
   NodeConfig make_node_config(int node);
+  core::PenelopeConfig make_penelope_config(const NodeConfig& nc) const;
   /// The engine a node's actor lives on: its shard's heap.
   sim::Simulator& node_sim(int node) {
     return engine_->shard(shard_of_[static_cast<std::size_t>(node)]);

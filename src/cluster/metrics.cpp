@@ -90,6 +90,59 @@ void ClusterMetrics::record_apply(common::Ticks at, double watts,
   slot().applies.push_back(TransferEvent{at, watts, node});
 }
 
+void ClusterMetrics::record_protocol_event(
+    std::int32_t node, const core::ProtocolEvent& event) {
+  using telemetry::TxnEventKind;
+  if (event.landed > 0.0) grant_arrived(event.landed);
+  switch (event.kind) {
+    case TxnEventKind::kRequestSent:
+      record_request_sent();
+      break;
+    case TxnEventKind::kRequestServed:
+      if (event.watts > 0.0) grant_departed(event.watts);
+      break;
+    case TxnEventKind::kGrantReceived:
+    case TxnEventKind::kLateGrant:
+      if (event.sent_at != core::ProtocolEvent::kNoSendTime)
+        record_turnaround(event.sent_at, event.at);
+      break;
+    case TxnEventKind::kTimeout:
+      record_timeout();
+      break;
+    case TxnEventKind::kApplied:
+      record_apply(event.at, event.watts, node);
+      break;
+    case TxnEventKind::kBanked:
+      record_release(event.at, event.watts, node);
+      break;
+    case TxnEventKind::kStranded:
+      watts_stranded(event.watts);
+      break;
+    case TxnEventKind::kDuplicateDropped:
+      record_duplicate_drop(event.watts);
+      break;
+    case TxnEventKind::kUnknownTxn:
+      record_unknown_txn();
+      break;
+    case TxnEventKind::kPushSent:
+      grant_departed(event.watts);
+      break;
+    default:
+      break;
+  }
+  core::journal_event(recorder_, node, event);
+  // Peer-to-peer grant chain: the flow is the request txn itself (one
+  // hop pair, source at the server, sink where the watts apply).
+  if (!tracer_.enabled() || event.txn == core::kNoTxn) return;
+  if (event.kind == TxnEventKind::kRequestServed && event.watts > 0.0) {
+    tracer_.record(event.at, event.txn, telemetry::FlowHopKind::kSource,
+                   node, event.peer, event.watts, "grant");
+  } else if (event.kind == TxnEventKind::kApplied) {
+    tracer_.record(event.at, event.txn, telemetry::FlowHopKind::kSink, node,
+                   event.peer, event.watts, "apply");
+  }
+}
+
 const std::vector<double>& ClusterMetrics::turnaround_ms() const {
   if (slots_.size() == 1) return slots_[0].turnaround_ms;
   merged_turnaround_.clear();

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/node.hpp"
 #include "sim/sharded.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/flow_tracer.hpp"
@@ -221,6 +222,12 @@ class ClusterMetrics {
   double pending_events_high_water() const {
     return pending_events_high_water_.value();
   }
+
+  /// --- the Penelope node core's event stream ---------------------------
+  /// The sim observer: one core::ProtocolEvent from node `node` becomes
+  /// the ledger, counter, journal, and flow-tracer records it stands for.
+  void record_protocol_event(std::int32_t node,
+                             const core::ProtocolEvent& event);
 
   /// --- telemetry --------------------------------------------------------
   telemetry::MetricsRegistry& registry() { return registry_; }
