@@ -259,5 +259,21 @@ TEST(Overhead, MeasuresAllNineWorkloads) {
   }
 }
 
+TEST(Overhead, DeciderTicksWhileTheWorkloadRuns) {
+  // Many decider periods per measured run: the one node's demand (150 W)
+  // is above its cap (120 W) with an empty pool, so every tick sends a
+  // request that its peerless transport refuses and that times out at
+  // once — the path the quick test above is too short to reach.
+  OverheadConfig cfg;
+  cfg.decider_period = common::from_millis(2);
+  cfg.work_seconds = 0.1;
+  cfg.repetitions = 1;
+  auto results = measure_overhead(cfg);
+  ASSERT_EQ(results.size(), 9u);
+  for (const auto& r : results) {
+    EXPECT_GT(r.penelope_seconds, 0.0) << r.workload;
+  }
+}
+
 }  // namespace
 }  // namespace penelope::rt
