@@ -8,7 +8,6 @@ namespace penelope::sim {
 
 EventId Simulator::schedule_at(Ticks at, EventFn fn) {
   PEN_CHECK_MSG(at >= now_, "cannot schedule into the past");
-  PEN_CHECK(static_cast<bool>(fn));
   EventId id = heap_.insert(at, next_seq_++, /*period=*/0, std::move(fn));
   if (heap_.size() > pending_high_water_) pending_high_water_ = heap_.size();
   return id;
@@ -23,7 +22,6 @@ EventId Simulator::schedule_periodic(Ticks first_at, Ticks period,
                                      EventFn fn) {
   PEN_CHECK_MSG(first_at >= now_, "cannot schedule into the past");
   PEN_CHECK(period > 0);
-  PEN_CHECK(static_cast<bool>(fn));
   EventId id = heap_.insert(first_at, next_seq_++, period, std::move(fn));
   if (heap_.size() > pending_high_water_) pending_high_water_ = heap_.size();
   return id;
@@ -33,7 +31,6 @@ EventId Simulator::schedule_periodic_pre(Ticks first_at, Ticks period,
                                          EventFn fn) {
   PEN_CHECK_MSG(first_at >= now_, "cannot schedule into the past");
   PEN_CHECK(period > 0);
-  PEN_CHECK(static_cast<bool>(fn));
   PEN_CHECK_MSG(next_pre_seq_ < kFirstSweepSeq, "pre-lane sequence space exhausted");
   EventId id = heap_.insert(first_at, next_pre_seq_++, period, std::move(fn));
   if (heap_.size() > pending_high_water_) pending_high_water_ = heap_.size();
@@ -44,7 +41,6 @@ EventId Simulator::schedule_periodic_sweep(Ticks first_at, Ticks period,
                                            EventFn fn) {
   PEN_CHECK_MSG(first_at >= now_, "cannot schedule into the past");
   PEN_CHECK(period > 0);
-  PEN_CHECK(static_cast<bool>(fn));
   PEN_CHECK_MSG(next_sweep_seq_ < kFirstNormalSeq,
                 "sweep-lane sequence space exhausted");
   EventId id = heap_.insert(first_at, next_sweep_seq_++, period, std::move(fn));
@@ -61,9 +57,9 @@ void Simulator::cancel(EventId id) {
   if (id != kInvalidEventId) heap_.cancel(id);
 }
 
-bool Simulator::pop_and_run_next() {
-  if (heap_.empty()) return false;
-  TimerHeap::Fired event = heap_.fire_top();
+bool Simulator::pop_and_run_next(Ticks limit) {
+  TimerHeap::Fired event;
+  if (!heap_.pop(limit, event)) return false;
   PEN_DCHECK(event.at >= now_);
   now_ = event.at;
   // Sweep-band firings are trace-neutral: they are engine infrastructure
@@ -104,27 +100,30 @@ bool Simulator::pop_and_run_next() {
 
 void Simulator::run() {
   stopped_ = false;
-  while (!stopped_ && pop_and_run_next()) {
+  while (!stopped_ && pop_and_run_next(kNoPendingEvent)) {
   }
 }
 
 void Simulator::run_until(Ticks deadline) {
   PEN_CHECK(deadline >= now_);
   stopped_ = false;
-  while (!stopped_ && !heap_.empty() && heap_.min_at() <= deadline) {
-    pop_and_run_next();
+  while (!stopped_ && pop_and_run_next(deadline)) {
   }
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  if (!stopped_ && now_ < deadline) {
+    now_ = deadline;
+    heap_.advance(deadline);
+  }
 }
 
 void Simulator::run_window(Ticks end) {
-  while (!heap_.empty() && heap_.min_at() < end) pop_and_run_next();
+  while (pop_and_run_next(end - 1)) {
+  }
 }
 
 std::size_t Simulator::run_steps(std::size_t n) {
   stopped_ = false;
   std::size_t done = 0;
-  while (done < n && !stopped_ && pop_and_run_next()) ++done;
+  while (done < n && !stopped_ && pop_and_run_next(kNoPendingEvent)) ++done;
   return done;
 }
 

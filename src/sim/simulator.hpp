@@ -15,17 +15,20 @@
 // these engines in conservative time windows with a deterministic
 // cross-shard merge (DESIGN.md §12), leaving this hot loop lock-free.
 //
-// Implementation: an indexed 4-ary min-heap (sim/timer_heap.hpp) keyed
-// by (timestamp, sequence). cancel() is a true O(log n) delete — the
-// dominant Penelope pattern of scheduling a timeout and cancelling it
-// when the reply wins the race costs two heap operations and no garbage.
-// Callbacks are sim::EventFn (sim/event_fn.hpp): move-only with 72 bytes
-// of inline storage, so scheduling a lambda that captures `this` and a
-// few scalars (or a whole net::Message) never touches the allocator,
-// and events are moved (never copied) out of the heap when they fire.
-// Periodic timers are native: the engine re-arms a fired periodic event
-// by resetting its heap key in place, reusing the same closure and
-// EventId across firings.
+// Implementation: sim/timer_heap.hpp, ordered by (timestamp, sequence).
+// One-shot events due within TimerHeap::kRingTicks of the last fired
+// time go to a calendar ring of one-tick FIFO buckets — O(1) insert,
+// pop and cancel, which is where message deliveries land — and the rest
+// (periodic timers, request timeouts) to an indexed 4-ary min-heap with
+// a true O(log n) cancel. Every pop takes the lesser of the two fronts,
+// so the order is exactly a single heap's. Callbacks are sim::EventFn
+// (sim/event_fn.hpp): move-only with 72 bytes of inline storage, so
+// scheduling a lambda that captures `this` and a few scalars (or a
+// whole net::Message) never touches the allocator, and events are moved
+// (never copied) out of the queue when they fire. Periodic timers are
+// native: the engine re-arms a fired periodic event by resetting its
+// heap key in place, reusing the same closure and EventId across
+// firings.
 #pragma once
 
 #include <cstdint>
@@ -121,9 +124,10 @@ class Simulator {
   /// this.
   bool set_period(EventId id, Ticks period);
 
-  /// Cancel a pending event: a true delete, O(log n), effective
-  /// immediately. Safe to call with ids that already fired, were already
-  /// cancelled, or are kInvalidEventId — those return without effect.
+  /// Cancel a pending event: a true delete (O(1) for a ring event,
+  /// O(log n) for a heap one), effective immediately. Safe to call with
+  /// ids that already fired, were already cancelled, or are
+  /// kInvalidEventId — those return without effect.
   void cancel(EventId id);
 
   /// Preallocate room for `n` concurrently pending events; schedule and
@@ -160,6 +164,7 @@ class Simulator {
     PEN_CHECK(t >= now_);
     PEN_DCHECK(heap_.empty() || heap_.min_at() >= t);
     now_ = t;
+    heap_.advance(t);
   }
 
   /// Execute at most `n` events; returns the number actually executed.
@@ -181,14 +186,15 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t executed_events() const { return executed_; }
 
-  /// Wrapping sum of trace_mix(timestamp) over every executed event.
-  /// Two runs executed the same event multiset iff their
-  /// (executed_events, trace_hash) pairs match; because the sum is
-  /// order-insensitive and time-ordered execution makes equal-timestamp
-  /// permutations the only reordering possible, this pins the event
-  /// *sequence* as tightly as the old FNV-1a in-order fold did while
-  /// staying mergeable across shards. The golden-trace determinism tests
-  /// pin it across engine rewrites.
+  /// Wrapping sum of trace_mix(timestamp) over every executed event:
+  /// the multiset of executed timestamps, mergeable across shards. It
+  /// is order-insensitive, so it cannot see two events that share a
+  /// tick swap places. That order is pinned elsewhere: directly by the
+  /// TimerHeapRing differential tests (tests/sim/timer_heap_test.cpp)
+  /// and the order-sensitive TxnRecord hash of LossyRunTelemetryIsPinned,
+  /// and through its effects by the DST outcome_hash (swapped handlers
+  /// draw latencies in another order, which moves later timestamps). The
+  /// golden-trace tests pin this hash across engine rewrites.
   std::uint64_t trace_hash() const { return trace_hash_; }
 
  private:
@@ -201,7 +207,9 @@ class Simulator {
   static constexpr std::uint64_t kFirstSweepSeq = std::uint64_t{1} << 31;
   static constexpr std::uint64_t kFirstNormalSeq = std::uint64_t{1} << 32;
 
-  bool pop_and_run_next();
+  /// Pop and execute the earliest event if it is due at or before
+  /// `limit`; false when there is none.
+  bool pop_and_run_next(Ticks limit);
 
   Ticks now_ = 0;
   std::uint64_t next_seq_ = kFirstNormalSeq;

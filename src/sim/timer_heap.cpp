@@ -1,6 +1,5 @@
 #include "sim/timer_heap.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -8,100 +7,102 @@
 namespace penelope::sim {
 
 void TimerHeap::reserve(std::size_t n) {
+  items_.reserve(n);
   pos_.reserve(n);
-  slots_.reserve(n);
-  fn_.reserve(n);
-  heap_.reserve(n);
+  next_.reserve(n);
+  prev_.reserve(n);
   free_.reserve(n);
-  run_.reserve(n);
+  heap_.reserve(n);
+}
+
+std::uint32_t TimerHeap::grow() {
+  const auto index = static_cast<std::uint32_t>(items_.size());
+  PEN_CHECK_MSG(index < kRingTag, "timer pool full");
+  items_.emplace_back();
+  pos_.push_back(kNpos);
+  next_.push_back(kNpos);
+  prev_.push_back(kNpos);
+  return index;
+}
+
+EventId TimerHeap::insert_heap(Ticks at, std::uint64_t seq, Ticks period,
+                               EventFn&& fn) {
+  const std::uint32_t slot = take_item();
+  Item& item = items_[slot];
+  item.key = static_cast<std::uint64_t>(period);
+  item.fn = std::move(fn);
+  const Entry entry{at, seq, slot};
+  std::size_t pos = heap_.size();
+  heap_.push_back(entry);
+  if (pos > 0 && less(entry, heap_[(pos - 1) >> 2])) {
+    sift_up(pos, entry);
+  } else {
+    pos_[slot] = static_cast<std::uint32_t>(pos);
+  }
+  return make_id(item.gen, slot);
 }
 
 std::uint32_t TimerHeap::node_of(EventId id) const {
   auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return kNpos;
-  if (slots_[slot].gen != gen || pos_[slot] == kNpos) return kNpos;
+  if (slot >= items_.size()) return kNpos;
+  if (items_[slot].gen != gen || pos_[slot] == kNpos) return kNpos;
   return slot;
 }
 
+std::uint32_t TimerHeap::item_of(EventId id) const {
+  const auto index = static_cast<std::uint32_t>(id) & ~kRingTag;
+  if (index >= items_.size()) return kNpos;
+  const Item& item = items_[index];
+  if (item.gen != static_cast<std::uint32_t>(id >> 32) ||
+      item.bucket == kNpos) {
+    return kNpos;
+  }
+  return index;
+}
+
+bool TimerHeap::contains(EventId id) const {
+  return ((id & kRingTag) != 0 ? item_of(id) : node_of(id)) != kNpos;
+}
+
 bool TimerHeap::cancel(EventId id) {
+  if ((id & kRingTag) != 0) {
+    const std::uint32_t index = item_of(id);
+    if (index == kNpos) return false;
+    unlink(index);
+    free_item(index);
+    return true;
+  }
   std::uint32_t slot = node_of(id);
   if (slot == kNpos) return false;
   std::uint32_t pos = pos_[slot];
-  free_node(slot);
-  if ((pos & kRunTag) != 0) {
-    // Run-resident: the slot and callback are freed immediately (the
-    // count and captures go now); only the dead 24-byte key lingers,
-    // skipped in O(1) when the head reaches it.
-    --run_live_;
-    if ((pos & ~kRunTag) == run_head_) skip_dead_run_entries();
-  } else {
-    remove_from_heap(pos);
-  }
+  pos_[slot] = kNpos;
+  free_item(slot);
+  remove_from_heap(pos);
   return true;
 }
 
 bool TimerHeap::set_period(EventId id, Ticks period) {
   std::uint32_t slot = node_of(id);
   if (slot == kNpos) return false;
-  if (slots_[slot].period == 0) return false;  // one-shots stay one-shot
-  slots_[slot].period = period;
+  if (items_[slot].key == 0) return false;  // one-shots stay one-shot
+  items_[slot].key = static_cast<std::uint64_t>(period);
   return true;
-}
-
-#ifdef PEN_HEAP_STATS
-std::uint64_t g_convert_count = 0;
-std::uint64_t g_convert_entries = 0;
-#endif
-
-void TimerHeap::convert_to_run() {
-#ifdef PEN_HEAP_STATS
-  ++g_convert_count;
-  g_convert_entries += heap_.size();
-#endif
-  fires_since_convert_ = 0;
-  run_.clear();
-  run_head_ = 0;
-  // Partition: one-shot entries move to the run, periodic timers stay
-  // heap-resident (rearm() re-keys them in place). The same pass tracks
-  // whether the moved entries already come out in ascending order —
-  // ascending scheduling (the common sim-loop shape) leaves the heap
-  // array sorted, and then the sort below is skipped entirely.
-  std::size_t keep = 0;
-  bool sorted = true;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const Entry entry = heap_[i];
-    if (slots_[entry.slot].period > 0) {
-      heap_[keep++] = entry;
-    } else {
-      sorted = sorted && (run_.empty() || !less(entry, run_.back()));
-      run_.push_back(entry);
-    }
-  }
-  heap_.resize(keep);
-  for (std::size_t i = keep; i-- > 0;) sift_down(i, heap_[i]);
-  if (!sorted) {
-    std::sort(run_.begin(), run_.end(),
-              [](const Entry& a, const Entry& b) { return less(a, b); });
-  }
-  run_live_ = run_.size();
-  for (std::size_t i = 0; i < run_.size(); ++i) {
-    pos_[run_[i].slot] = kRunTag | static_cast<std::uint32_t>(i);
-  }
 }
 
 bool TimerHeap::rearm(EventId id, Ticks fired_at, std::uint64_t seq,
                       EventFn&& fn) {
   std::uint32_t slot = node_of(id);
   if (slot == kNpos) return false;  // cancelled inside its own callback
-  fn_[slot] = std::move(fn);
+  Item& item = items_[slot];
+  item.fn = std::move(fn);
   // The key only grew (period > 0), and the callback can have inserted
   // or removed arbitrary other events meanwhile, so restore from
   // wherever the node sits now. sift_down re-places the entry even when
   // it stays put; sift_up then is a no-op guard for the (impossible
   // today) shrinking-key case.
   std::size_t pos = pos_[slot];
-  sift_down(pos, Entry{fired_at + slots_[slot].period, seq, slot});
+  sift_down(pos, Entry{fired_at + static_cast<Ticks>(item.key), seq, slot});
   sift_up(pos_[slot], heap_[pos_[slot]]);
   return true;
 }

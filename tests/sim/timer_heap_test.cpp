@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -90,9 +92,9 @@ TEST(TimerHeap, RandomInsertCancelMatchesReferenceOrder) {
 }
 
 TEST(TimerHeap, DrainRunConversionPreservesOrderAboveThreshold) {
-  // > 64 pending one-shots triggers the sorted-run conversion inside
-  // fire_top; the fired order must be indistinguishable from pure heap
-  // operation, including for descending insertion (forces the sort).
+  // Descending insertion of many one-shots: each lands in a ring bucket
+  // (ticks 1..300 are within the horizon); the fired order must still be
+  // ascending, as from a pure heap.
   TimerHeap heap;
   std::vector<int> sink;
   std::uint64_t seq = 1;
@@ -115,19 +117,19 @@ TEST(TimerHeap, CancelWorksWhileRunResident) {
   std::vector<int> sink;
   std::uint64_t seq = 1;
   std::vector<EventId> ids;
-  const int n = 128;  // above the conversion threshold
+  const int n = 128;
   for (int i = 0; i < n; ++i) {
     ids.push_back(heap.insert(i, seq++, 0, [&sink, i](Ticks) {
       sink.push_back(i);
     }));
   }
-  // Fire once to trigger conversion; everything else is now in the run.
+  // Fire once; everything else is pending in the ring.
   sink.clear();
   TimerHeap::Fired first = heap.fire_top();
   first.fn(first.at);
   EXPECT_EQ(sink, std::vector<int>{0});
-  // Cancel run-resident entries: the next one (head skip path) and a
-  // couple in the middle (lazy skip path).
+  // Cancel the next one to fire (bucket release path) and a couple in
+  // the middle.
   EXPECT_TRUE(heap.cancel(ids[1]));
   EXPECT_TRUE(heap.cancel(ids[50]));
   EXPECT_TRUE(heap.cancel(ids[51]));
@@ -150,9 +152,9 @@ TEST(TimerHeap, InsertDuringDrainInterleavesCorrectly) {
   for (int i = 0; i < n; ++i) {
     heap.insert(10 * i, seq++, 0, [&sink, i](Ticks) { sink.push_back(i); });
   }
-  // Drain a third, then insert events that land between the remaining
-  // run entries — they go to the heap, and fire_top must merge the two
-  // sources in global (at, seq) order.
+  // Drain a third, then insert events that land in the ticks between
+  // the remaining ones; every pop must still take the global (at, seq)
+  // minimum.
   std::vector<Ticks> fired_at;
   for (int i = 0; i < n / 3; ++i) {
     TimerHeap::Fired f = heap.fire_top();
@@ -218,8 +220,8 @@ TEST(TimerHeap, PeriodicRearmKeepsIdAndOrder) {
 }
 
 TEST(TimerHeap, PeriodicTimersSurviveDrainConversion) {
-  // Periodic timers stay heap-resident across the one-shot conversion;
-  // interleaved firing order must hold with > threshold one-shots.
+  // Periodic timers stay heap-resident while one-shots go to the ring;
+  // interleaved firing order must hold.
   TimerHeap heap;
   std::vector<Ticks> fired_at;
   std::uint64_t seq = 1;
@@ -256,6 +258,257 @@ TEST(TimerHeap, SizeAndMinAtTrackChurn) {
   TimerHeap::Fired f = heap.fire_top();
   EXPECT_EQ(f.at, 20);
   EXPECT_TRUE(heap.empty());
+}
+
+
+// Differential tests for the calendar ring. trace_hash() is an
+// order-insensitive sum, so it cannot show that events sharing a tick
+// kept their FIFO order; these tests compare the full fired (at, seq)
+// sequence against a std::set of pending keys, which is the order any
+// correct timer queue must produce.
+
+using Key = std::pair<Ticks, std::uint64_t>;
+
+// Ring events carry bit 31 in their id (the id layout documented in
+// timer_heap.hpp); the tests use it to check which path an insert took.
+bool in_ring(EventId id) { return (id & 0x80000000u) != 0; }
+
+class Differential {
+ public:
+  EventId insert(Ticks at, std::uint64_t seq, Ticks period = 0) {
+    const EventId id =
+        heap_.insert(at, seq, period, [this, seq](Ticks) { ran_ = seq; });
+    EXPECT_TRUE(pending_.emplace(at, seq).second);
+    keys_[id] = Key{at, seq};
+    periods_[id] = period;
+    tags_[id] = seq;
+    return id;
+  }
+
+  void cancel(EventId id) {
+    ASSERT_TRUE(heap_.cancel(id));
+    EXPECT_FALSE(heap_.contains(id));
+    EXPECT_FALSE(heap_.cancel(id)) << "second cancel must be refused";
+    pending_.erase(keys_.at(id));
+    keys_.erase(id);
+  }
+
+  /// Fire the minimum; periodic timers re-arm with `next_seq`.
+  Key fire_one(std::uint64_t next_seq = 0) {
+    EXPECT_FALSE(heap_.empty());
+    EXPECT_FALSE(pending_.empty());
+    TimerHeap::Fired f = heap_.fire_top();
+    const Key got{f.at, f.seq};
+    const Key want = *pending_.begin();
+    fired_.push_back(got);
+    expected_.push_back(want);
+    pending_.erase(pending_.begin());
+    ran_ = 0;
+    f.fn(f.at);
+    EXPECT_EQ(ran_, tags_.at(f.id))
+        << "fired entry ran another event's callback";
+    if (f.periodic) {
+      const Ticks period = periods_.at(f.id);
+      EXPECT_TRUE(heap_.rearm(f.id, f.at, next_seq, std::move(f.fn)));
+      pending_.emplace(f.at + period, next_seq);
+      keys_[f.id] = Key{f.at + period, next_seq};
+    } else {
+      EXPECT_FALSE(heap_.contains(f.id));
+      keys_.erase(f.id);
+    }
+    EXPECT_EQ(heap_.size(), pending_.size());
+    return got;
+  }
+
+  /// Fire everything; cancel periodic timers first.
+  void drain() {
+    while (!pending_.empty()) fire_one();
+    EXPECT_TRUE(heap_.empty());
+  }
+
+  /// Fired sequence equals the model's, element for element.
+  void expect_same_order() const { EXPECT_EQ(fired_, expected_); }
+
+  TimerHeap& heap() { return heap_; }
+  std::size_t pending() const { return pending_.size(); }
+  const std::vector<Key>& fired() const { return fired_; }
+
+ private:
+  TimerHeap heap_;
+  std::set<Key> pending_;
+  std::map<EventId, Key> keys_;
+  std::map<EventId, Ticks> periods_;
+  std::map<EventId, std::uint64_t> tags_;  ///< seq at insert: the closure
+  std::vector<Key> fired_;
+  std::vector<Key> expected_;
+  std::uint64_t ran_ = 0;
+};
+
+TEST(TimerHeapRing, HorizonEdgeSplitsRingFromHeap) {
+  Differential d;
+  std::uint64_t seq = 1;
+  const Ticks span = TimerHeap::kRingTicks;
+  EXPECT_TRUE(in_ring(d.insert(span - 1, seq++)));
+  EXPECT_FALSE(in_ring(d.insert(span, seq++)));
+  EXPECT_TRUE(in_ring(d.insert(0, seq++)));
+  d.fire_one();  // t = 0
+  // The base follows the fired time: the horizon moved with it.
+  d.fire_one();  // t = span - 1
+  EXPECT_TRUE(in_ring(d.insert(span - 1 + span - 1, seq++)));
+  EXPECT_FALSE(in_ring(d.insert(span - 1 + span, seq++)));
+  d.drain();
+  d.expect_same_order();
+  // An idle gap: advance() lifts the base, so near inserts stay near.
+  const Ticks gap = 1000000;
+  d.heap().advance(gap);
+  EXPECT_TRUE(in_ring(d.insert(gap + span - 1, seq++)));
+  EXPECT_FALSE(in_ring(d.insert(gap + span, seq++)));
+  d.drain();
+  d.expect_same_order();
+}
+
+TEST(TimerHeapRing, BucketIndexWrapsAroundTheRing) {
+  Differential d;
+  std::uint64_t seq = 1;
+  const Ticks span = TimerHeap::kRingTicks;
+  // Three laps: each step fires at the front and schedules into the
+  // bucket indices just past the wrap, mixed with ones just before it.
+  d.insert(span - 10, seq++);
+  for (int lap = 0; lap < 3; ++lap) {
+    for (int step = 0; step < 40; ++step) {
+      const Ticks now = d.fire_one().first;
+      d.insert(now + 7, seq++);
+      d.insert(now + span - 1 - step, seq++);
+      d.insert(now + 7, seq++);  // same tick, later seq
+    }
+    while (d.pending() > 1) d.fire_one();
+  }
+  d.drain();
+  d.expect_same_order();
+}
+
+TEST(TimerHeapRing, TickSplitBetweenHeapAndRingKeepsSeqOrder) {
+  Differential d;
+  std::uint64_t seq = 1;
+  const Ticks tick = 5000;  // beyond the horizon of base 0
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(in_ring(d.insert(tick, seq++)));
+  d.insert(2000, seq++);
+  d.fire_one();  // base -> 2000, so `tick` is now inside the ring
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(in_ring(d.insert(tick, seq++)));
+  d.drain();
+  d.expect_same_order();
+  ASSERT_EQ(d.fired().size(), 7u);
+}
+
+TEST(TimerHeapRing, OutOfOrderSeqAndBelowBaseFallBackToTheHeap) {
+  Differential d;
+  EXPECT_TRUE(in_ring(d.insert(10, 50)));
+  EXPECT_FALSE(in_ring(d.insert(10, 30))) << "seq below the bucket tail";
+  EXPECT_TRUE(in_ring(d.insert(10, 60)));
+  EXPECT_FALSE(in_ring(d.insert(10, 55)));
+  d.insert(1000, 70);
+  d.fire_one();  // 10/30
+  d.fire_one();  // 10/50
+  d.fire_one();  // 10/55
+  d.fire_one();  // 10/60
+  d.fire_one();  // 1000/70: base -> 1000
+  EXPECT_FALSE(in_ring(d.insert(500, 80))) << "below the base";
+  EXPECT_TRUE(in_ring(d.insert(1000 + TimerHeap::kRingTicks - 1, 90)));
+  d.fire_one();  // 500 fires first; the base must not fall back
+  EXPECT_TRUE(in_ring(d.insert(1000 + TimerHeap::kRingTicks - 1, 91)));
+  d.drain();
+  d.expect_same_order();
+}
+
+TEST(TimerHeapRing, CancelHeadMiddleAndTailOfABucket) {
+  Differential d;
+  std::uint64_t seq = 1;
+  std::vector<EventId> ids;
+  // 20 events on one tick; cancel at the head, in the middle, two
+  // neighbours, and at the tail.
+  for (int i = 0; i < 20; ++i) ids.push_back(d.insert(7, seq++));
+  d.insert(8, seq++);
+  d.cancel(ids[0]);   // head
+  d.cancel(ids[1]);   // new head
+  d.cancel(ids[10]);  // middle
+  d.cancel(ids[7]);   // a neighbour pair
+  d.cancel(ids[8]);
+  d.cancel(ids[19]);  // tail
+  ids.push_back(d.insert(7, seq++));  // append behind a cancelled tail
+  d.fire_one();
+  d.cancel(ids[3]);  // the head again, after a fire
+  d.drain();
+  d.expect_same_order();
+  // A bucket cancelled down to empty is released and reusable.
+  const EventId a = d.insert(20, seq++);
+  const EventId b = d.insert(20, seq++);
+  d.cancel(b);
+  d.cancel(a);
+  EXPECT_TRUE(d.heap().empty());
+  d.insert(20, seq++);
+  d.drain();
+  d.expect_same_order();
+}
+
+TEST(TimerHeapRing, PeriodicTimersInterleaveWithOneShots) {
+  Differential d;
+  std::uint64_t seq = 1;
+  d.insert(3, seq++, /*period=*/3);
+  d.insert(5, seq++, /*period=*/7);
+  for (Ticks t = 0; t < 60; t += 2) d.insert(t, seq++);
+  for (Ticks t = 0; t < 60; t += 3) d.insert(t, seq++);
+  for (int i = 0; i < 120; ++i) d.fire_one(seq++);
+  d.expect_same_order();
+}
+
+TEST(TimerHeapRing, RandomNetworkScheduleMatchesReference) {
+  // The shape the engine sees: deliveries clustered 50 +- 10 ticks out,
+  // request timeouts far beyond the ring, most of them cancelled, and a
+  // few periodic ticks.
+  for (std::uint32_t round = 0; round < 8; ++round) {
+    std::mt19937 rng(2024 + round);
+    Differential d;
+    std::uint64_t seq = 1;
+    Ticks now = 0;
+    std::vector<EventId> timeouts;
+    const EventId tick = d.insert(100, seq++, /*period=*/1000);
+    const EventId slow_tick = d.insert(350, seq++, /*period=*/2500);
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint32_t roll = rng() % 100;
+      if (roll < 45) {
+        d.insert(now + 40 + static_cast<Ticks>(rng() % 21), seq++);
+      } else if (roll < 60) {
+        timeouts.push_back(
+            d.insert(now + 100000 + static_cast<Ticks>(rng() % 50), seq++));
+      } else if (roll < 72 && !timeouts.empty()) {
+        const std::size_t pick = rng() % timeouts.size();
+        if (d.heap().contains(timeouts[pick])) d.cancel(timeouts[pick]);
+        timeouts[pick] = timeouts.back();
+        timeouts.pop_back();
+      } else if (d.pending() > 0) {
+        now = d.fire_one(seq++).first;
+      }
+    }
+    d.cancel(tick);
+    d.cancel(slow_tick);
+    d.drain();
+    d.expect_same_order();
+  }
+}
+
+TEST(TimerHeapRing, PopStopsAtTheLimit) {
+  TimerHeap heap;
+  heap.insert(30, 1, 0, [](Ticks) {});
+  heap.insert(10, 2, 0, [](Ticks) {});
+  TimerHeap::Fired f;
+  EXPECT_FALSE(heap.pop(9, f));
+  EXPECT_EQ(heap.size(), 2u);
+  ASSERT_TRUE(heap.pop(10, f));
+  EXPECT_EQ(f.at, 10);
+  EXPECT_FALSE(heap.pop(29, f));
+  ASSERT_TRUE(heap.pop(30, f));
+  EXPECT_TRUE(heap.empty());
+  EXPECT_FALSE(heap.pop(1000, f));
 }
 
 }  // namespace
