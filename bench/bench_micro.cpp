@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "central/server.hpp"
 #include "cluster/cluster.hpp"
@@ -181,6 +182,50 @@ void BM_TxnWindowInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TxnWindowInsert);
+
+// Many receive windows at once, so inserts see the working set of a
+// whole run instead of one window hot in L1. Ids are unique across all
+// windows, so every insert is a first sighting.
+//  full_pools_362: 362 full default windows (federated_burst's pools)
+//    take fresh ids round robin from 256 interleaved senders; each
+//    insert evicts that window's oldest id.
+//  fresh_nodes_8192: 8192 default windows are built, take 50 ids each
+//    in round-robin order (classic_steady's node side), and are torn
+//    down; construction and destruction are timed with the inserts.
+void BM_TxnWindowInsertMany(benchmark::State& state, bool fresh) {
+  const std::size_t count = fresh ? 8192 : 362;
+  std::uint64_t seq = 0;
+  auto next_txn = [&seq] {
+    ++seq;
+    return core::make_txn_id(static_cast<std::int32_t>(seq % 256), 0,
+                             seq / 256);
+  };
+  if (fresh) {
+    constexpr int kIdsPerWindow = 50;
+    for (auto _ : state) {
+      std::vector<core::TxnWindow> windows;
+      windows.reserve(count);
+      for (std::size_t w = 0; w < count; ++w) windows.emplace_back();
+      for (int r = 0; r < kIdsPerWindow; ++r)
+        for (core::TxnWindow& window : windows)
+          benchmark::DoNotOptimize(window.insert(next_txn()));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(count) * kIdsPerWindow);
+    return;
+  }
+  std::vector<core::TxnWindow> windows(count);
+  for (std::size_t i = 0; i < core::TxnWindow::kDefaultCapacity; ++i)
+    for (core::TxnWindow& window : windows) window.insert(next_txn());
+  std::size_t w = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(windows[w].insert(next_txn()));
+    if (++w == count) w = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TxnWindowInsertMany, full_pools_362, false);
+BENCHMARK_CAPTURE(BM_TxnWindowInsertMany, fresh_nodes_8192, true);
 
 void BM_NetworkRoundTrip(benchmark::State& state) {
   // One shard: deliveries are scheduled directly on the one heap.

@@ -13,7 +13,9 @@
 //   bench_network --min-time=S    longer measurement window
 //   bench_network --alloc-check   assert zero heap allocations on the
 //                                 warm message path and in a full receive
-//                                 TxnWindow (ctest: net.zero_alloc)
+//                                 TxnWindow, and a budget of 5 for a
+//                                 fresh one taking 64 ids
+//                                 (ctest: net.zero_alloc)
 //   bench_network --jobs=N        run the same worlds over N engine shards
 //                                 (default 1: direct scheduling); N >= 2
 //                                 takes the staged-send path, and with
@@ -27,7 +29,9 @@
 // thousands of further send→deliver rounds must not touch the
 // allocator at all. The same holds for the receive-side dedup window
 // every pool runs each request, push and transfer through: once it is
-// full, inserts that evict the oldest id allocate nothing.
+// full, inserts that evict the oldest id allocate nothing. A window
+// that only ever sees a few dozen ids, the common case at a node, must
+// get there in at most 5 allocator calls, construction included.
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -188,6 +192,30 @@ int txn_window_alloc_check(int inserts) {
   return pass ? 0 : 1;
 }
 
+/// A fresh default TxnWindow taking `sightings` first sightings, counted
+/// from construction to destruction: the per-run path of short runs,
+/// whose windows are built with their cluster and grow from empty
+/// inside it (chaos_swarm builds 1024 eight-node clusters). Allocator
+/// calls must stay at or under `budget`.
+int sparse_window_alloc_check(int sightings, std::uint64_t budget) {
+  std::uint64_t before = pen_alloc_gate::allocs_now();
+  bool all_new = true;
+  std::size_t size = 0;
+  {
+    core::TxnWindow window;
+    for (int i = 1; i <= sightings; ++i)
+      all_new &= window.insert(core::make_txn_id(i % 8, 0, i / 8));
+    size = window.size();
+  }
+  std::uint64_t delta = pen_alloc_gate::allocs_now() - before;
+  const bool pass = delta <= budget && all_new &&
+                    size == static_cast<std::size_t>(sightings);
+  std::printf("%-10s %" PRIu64 " heap allocations (budget %" PRIu64
+              ") for a fresh window taking %d ids: %s\n",
+              "sparsewin", delta, budget, sightings, pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,6 +245,7 @@ int main(int argc, char** argv) {
     failures += alloc_check<RoundTripWorld>("roundtrip", 2000, 20000);
     failures += alloc_check<FanoutWorld>("fanout64", 200, 2000);
     failures += txn_window_alloc_check(100000);
+    failures += sparse_window_alloc_check(64, 5);
     return failures == 0 ? 0 : 1;
   }
 

@@ -84,8 +84,11 @@ FederatedArena::FederatedArena(
   pool_deficit_accum_.assign(pools, 0.0);
   pool_pending_up_.assign(pools, 0.0);
   pool_last_report_seq_.assign(pools, 0);
+  // Pool windows fill in the first burst, so their rings are allocated
+  // here, keeping the set-up's allocation profile (core/txn_window.hpp).
   pool_window_.reserve(pools);
-  for (std::size_t p = 0; p < pools; ++p) pool_window_.emplace_back();
+  for (std::size_t p = 0; p < pools; ++p)
+    pool_window_.emplace_back().reserve();
   pool_req_seq_.assign(pools, 0);
   pool_push_seq_.assign(pools, 0);
   pool_inflow_flow_.assign(pools, 0);

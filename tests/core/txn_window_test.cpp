@@ -4,6 +4,7 @@
 
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -86,8 +87,10 @@ TEST(TxnWindow, EvictsOldestAtCapacity) {
 
 TEST(TxnWindow, ReinsertedTxnSurvivesUnrelatedEvictions) {
   // A txn that was evicted and then legitimately re-inserted lives at a
-  // new ring slot; evicting its *old* slot's successor must not erase
-  // the fresh entry (the generation check in insert guards this).
+  // new ring slot; evicting the ids around it must not erase the fresh
+  // entry. An id leaves the table only when the one ring slot holding it
+  // is recycled, and the ring never holds an id twice, so erasing the
+  // recycled slot's id by value cannot forget a newer copy.
   TxnWindow window(2);
   EXPECT_TRUE(window.insert(10));  // slot 0
   EXPECT_TRUE(window.insert(11));  // slot 1
@@ -115,51 +118,180 @@ TEST(TxnWindow, SizeIsBoundedByCapacityForever) {
   EXPECT_EQ(window.capacity(), 16u);
 }
 
+/// Draws ids from a universe about three windows wide, so the stream
+/// mixes first sightings, in-window duplicates, evictions and
+/// re-insertions after eviction; half of them are structured
+/// make_txn_id values (clustered bit fields), the rest small integers,
+/// plus the kNoTxn sentinel.
+class TxnStream {
+ public:
+  TxnStream(std::size_t capacity, std::uint64_t seed)
+      : rng_(seed), universe_(3 * capacity + 2) {}
+
+  std::uint64_t draw() {
+    const std::uint64_t v = rng_() % universe_;
+    switch (rng_() % 8) {
+      case 0:
+        return kNoTxn;
+      case 1:
+      case 2:
+      case 3:
+        return structured(v);
+      default:
+        return v + 1;
+    }
+  }
+
+  static std::uint64_t structured(std::uint64_t v) {
+    return make_txn_id(static_cast<std::int32_t>(v % 5),
+                       static_cast<std::uint32_t>(v % 3), v / 15);
+  }
+
+  /// One step of the differential check: an insert, or three times in
+  /// ten a membership query (once in 10^4 a reset() of both windows when
+  /// `resets` is set); then the sizes must agree.
+  void step(TxnWindow& window, ReferenceWindow& model, bool resets) {
+    const std::uint64_t txn = draw();
+    const std::uint64_t r = rng_() % 10000;
+    if (r == 0 && resets) {
+      window.reset();
+      model.reset();
+    } else if (r < 3000) {
+      ASSERT_EQ(window.contains(txn), model.contains(txn)) << "txn " << txn;
+    } else {
+      ASSERT_EQ(window.insert(txn), model.insert(txn)) << "txn " << txn;
+    }
+    ASSERT_EQ(window.size(), model.size());
+  }
+
+  /// `ops` steps without random resets, then every id the stream can
+  /// draw must agree on contains().
+  void run(TxnWindow& window, ReferenceWindow& model, int ops) {
+    for (int op = 0; op < ops; ++op) {
+      ASSERT_NO_FATAL_FAILURE(step(window, model, false)) << "op " << op;
+    }
+    for (std::uint64_t v = 0; v < universe_; ++v) {
+      for (std::uint64_t id : {v + 1, structured(v)}) {
+        ASSERT_EQ(window.contains(id), model.contains(id)) << "id " << id;
+      }
+    }
+  }
+
+ private:
+  std::mt19937_64 rng_;
+  std::uint64_t universe_;
+};
+
 TEST(TxnWindow, MatchesReferenceModelOnRandomOperations) {
-  // Ids come from a universe about three windows wide, so the stream
-  // mixes first sightings, in-window duplicates, evictions and
-  // re-insertions after eviction; half of them are structured
-  // make_txn_id values (clustered bit fields), the rest small integers,
-  // plus the kNoTxn sentinel. A rare reset() restarts both windows.
+  // A rare reset() restarts both windows.
   std::size_t checked = 0;
   for (std::size_t capacity : {1, 2, 3, 4, 16, 1024}) {
-    std::mt19937_64 rng(0x7a11 + capacity);
+    TxnStream stream(capacity, 0x7a11 + capacity);
     TxnWindow window(capacity);
     ReferenceWindow model(capacity);
-    const std::uint64_t universe = 3 * capacity + 2;
-    auto draw = [&]() -> std::uint64_t {
-      const std::uint64_t v = rng() % universe;
-      switch (rng() % 8) {
-        case 0:
-          return kNoTxn;
-        case 1:
-        case 2:
-        case 3:
-          return make_txn_id(static_cast<std::int32_t>(v % 5),
-                             static_cast<std::uint32_t>(v % 3), v / 15);
-        default:
-          return v + 1;
-      }
-    };
     for (int op = 0; op < 40000; ++op) {
-      const std::uint64_t txn = draw();
-      const std::uint64_t r = rng() % 10000;
-      if (r == 0) {
-        window.reset();
-        model.reset();
-      } else if (r < 3000) {
-        ASSERT_EQ(window.contains(txn), model.contains(txn))
-            << "capacity " << capacity << " op " << op << " txn " << txn;
-      } else {
-        ASSERT_EQ(window.insert(txn), model.insert(txn))
-            << "capacity " << capacity << " op " << op << " txn " << txn;
-      }
-      ASSERT_EQ(window.size(), model.size())
+      ASSERT_NO_FATAL_FAILURE(stream.step(window, model, true))
           << "capacity " << capacity << " op " << op;
       ++checked;
     }
   }
   EXPECT_GE(checked, 100000u);
+}
+
+constexpr std::size_t kGrowthCapacities[] = {1, 2, 3, 5, 16, 1000, 1024};
+
+/// Ops that fill a window of `capacity` from empty and wrap its ring
+/// several times.
+int refill_ops(std::size_t capacity) {
+  return static_cast<int>(12 * capacity) + 200;
+}
+
+TEST(TxnWindow, GrowthPathMatchesReferenceModel) {
+  // The ring and table grow while the window fills; non-power-of-two
+  // capacities wrap right after a growth step, since the last ring
+  // growth is clipped to the capacity. Every quarter window of ops, all
+  // ids are checked, so an id lost by a growth step is seen before it
+  // would have been evicted anyway.
+  for (std::size_t capacity : kGrowthCapacities) {
+    SCOPED_TRACE(capacity);
+    TxnStream stream(capacity, 0x6e0 + capacity);
+    TxnWindow window(capacity);
+    ReferenceWindow model(capacity);
+    const int quarter = static_cast<int>(capacity / 4) + 4;
+    for (int chunk = 0; chunk < 50; ++chunk) {
+      ASSERT_NO_FATAL_FAILURE(stream.run(window, model, quarter));
+    }
+    EXPECT_EQ(window.capacity(), capacity);
+  }
+}
+
+TEST(TxnWindow, ReservedRingMatchesReferenceModel) {
+  for (std::size_t capacity : kGrowthCapacities) {
+    SCOPED_TRACE(capacity);
+    {
+      // Reserved at construction, as the arena's pool windows are.
+      TxnStream stream(capacity, 0x7e5 + capacity);
+      TxnWindow window(capacity);
+      window.reserve();
+      ReferenceWindow model(capacity);
+      ASSERT_NO_FATAL_FAILURE(stream.run(window, model, refill_ops(capacity)));
+    }
+    {
+      // Reserved after a partial fill: the ids seen so far are kept.
+      TxnStream stream(capacity, 0x8e5 + capacity);
+      TxnWindow window(capacity);
+      ReferenceWindow model(capacity);
+      const int partial = static_cast<int>(capacity / 2) + 1;
+      ASSERT_NO_FATAL_FAILURE(stream.run(window, model, partial));
+      window.reserve();
+      ASSERT_NO_FATAL_FAILURE(stream.run(window, model, refill_ops(capacity)));
+    }
+  }
+}
+
+TEST(TxnWindow, ResetThenRefillMatchesReferenceModel) {
+  for (std::size_t capacity : kGrowthCapacities) {
+    SCOPED_TRACE(capacity);
+    for (bool wrapped : {false, true}) {
+      SCOPED_TRACE(wrapped ? "reset after a wrap" : "reset mid-fill");
+      TxnStream stream(capacity, 0x9e5 + capacity + (wrapped ? 1 : 0));
+      TxnWindow window(capacity);
+      ReferenceWindow model(capacity);
+      // Half a window of ops stays under capacity (not every id drawn is
+      // new); eight windows' worth wraps the ring several times.
+      const int fill = wrapped ? static_cast<int>(8 * capacity) + 50
+                               : static_cast<int>(capacity / 2);
+      ASSERT_NO_FATAL_FAILURE(stream.run(window, model, fill));
+      if (wrapped) {
+        ASSERT_EQ(window.size(), capacity);
+      } else {
+        ASSERT_LT(window.size(), capacity);
+      }
+      window.reset();
+      model.reset();
+      ASSERT_EQ(window.size(), 0u);
+      ASSERT_NO_FATAL_FAILURE(stream.run(window, model, refill_ops(capacity)));
+    }
+  }
+}
+
+TEST(TxnWindow, MovedWindowMatchesReferenceModel) {
+  for (std::size_t capacity : kGrowthCapacities) {
+    SCOPED_TRACE(capacity);
+    const int half = static_cast<int>(capacity / 2) + 1;
+    TxnStream stream(capacity, 0xae5 + capacity);
+    ReferenceWindow model(capacity);
+    TxnWindow window(capacity);
+    ASSERT_NO_FATAL_FAILURE(stream.run(window, model, half));
+    // Move construction in the middle of a fill.
+    TxnWindow moved(std::move(window));
+    ASSERT_NO_FATAL_FAILURE(stream.run(moved, model, half));
+    // Move assignment over a window holding other ids.
+    TxnWindow assigned(capacity);
+    for (std::uint64_t t = 1; t <= capacity; ++t) assigned.insert(~t);
+    assigned = std::move(moved);
+    ASSERT_NO_FATAL_FAILURE(stream.run(assigned, model, refill_ops(capacity)));
+  }
 }
 
 TEST(TxnId, NamespacesNodesAndStreams) {

@@ -10,7 +10,11 @@ it prints the median and interquartile range of each side, the relative
 change of the medians, how many pairs the change won, and "unresolved"
 when the parent's own IQR is wider than the metric's bound (the host is
 too noisy to tell a change of that size). Failed-op shares and any run
-that reports correct=false are printed too.
+that reports correct=false are printed too, and so is each side's median
+count of minor page faults per run (getrusage(RUSAGE_CHILDREN) deltas
+around each run.py call, so the count covers run.py's whole process
+tree: its no-op build check and the runner itself). A setup_s or
+peak_rss_mb move that comes from the allocator shows up there.
 
     python3 tools/ab.py [--parent REV] [--change REV|WORKTREE]
                         [--pairs N] [--workloads a,b] [--seconds S]
@@ -27,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -76,12 +81,16 @@ def run_bench(checkout, workload, seed, seconds, tiny=0):
            "--seconds", str(seconds), "--trace", "0", "--tiny", str(tiny)]
     # Each checkout builds into its own tree, whatever the caller's env.
     env = dict(os.environ, CARGO_TARGET_DIR=".bench_build")
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         sys.exit(f"ab: {workload} failed in {checkout}:\n"
                  f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+    result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+    result["minor_faults"] = faults
+    return result
 
 
 def quartiles(values):
@@ -122,13 +131,18 @@ def summarize(workload, runs, metrics):
                      "change_median": cmed, "change_iqr": [cq1, cq3],
                      "delta": delta, "change_wins": wins,
                      "unresolved": unresolved})
+    faults = {"metric": "minor_faults"}
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
         wrong = sum(not r["correct"] for r in runs[side])
         share = failed / attempted if attempted else 0.0
-        print(f"  {side}: failed-op share {share:.3g}"
+        faults[side] = [r["minor_faults"] for r in runs[side]]
+        faults[f"{side}_median"] = statistics.median(faults[side])
+        print(f"  {side}: failed-op share {share:.3g}, minor page faults "
+              f"per run median {faults[f'{side}_median']:.0f}"
               + (f", {wrong} run(s) correct=false" if wrong else ""))
+    rows.append(faults)
     return rows
 
 
